@@ -14,14 +14,17 @@
 namespace simgraph {
 
 /// The compact, epoch-stamped unit of work the delta-shipping ingest
-/// pipeline sends from the single DeltaBuilder to every shard's
-/// DeltaApplier (docs/ingest.md). One delta covers the contiguous event
-/// range [seq_begin, seq_end] and carries, in application order,
-/// everything a shard needs to advance its replica without re-running
-/// the incremental SimGraph update itself:
+/// pipeline sends from the single DeltaBuilder to the shards' and
+/// remote replicas' DeltaAppliers (docs/ingest.md). One delta covers
+/// the contiguous event range [seq_begin, seq_end] and carries, in
+/// application order, everything a replica needs to advance without
+/// re-running the incremental SimGraph update itself (in-process shards
+/// receive per-shard parts holding only the users they own):
 ///
 ///   * edge upserts/removes of the incremental similarity graph (the
-///     builder records them as IncrementalSimGraph rescoring runs);
+///     builder records them as IncrementalSimGraph rescoring runs; SGDL
+///     still carries them, but no applier replays them and per-shard
+///     parts drop them);
 ///   * consumed marks (user interacted with tweet — never recommend it
 ///     to them again);
 ///   * candidate deposits (propagated scores that actually raised a
@@ -46,7 +49,7 @@ struct SimGraphDelta {
   static constexpr uint16_t kVersion = 1;
   /// Flag bit: the builder re-materialised its CSR snapshot while
   /// building this delta; appliers must swap epochs after replaying the
-  /// edge ops.
+  /// candidate ops.
   static constexpr uint16_t kFlagSnapshotRefresh = 1u << 0;
 
   /// One rescored similarity edge src->dst now weighing `weight`.
@@ -100,7 +103,9 @@ struct SimGraphDelta {
   /// In-process fast path: when kFlagSnapshotRefresh is set the builder
   /// attaches its freshly materialised CSR snapshot, so local appliers
   /// swap a shared pointer instead of re-materialising. NOT serialized —
-  /// remote appliers rebuild from the accumulated edge ops.
+  /// a remote replica keeps the snapshot it was seeded with and only
+  /// advances its reported epoch (DeltaApplierRecommender::ApplyDelta);
+  /// no applier reads the edge ops.
   std::shared_ptr<const SimGraph> snapshot;
 
   bool has_flag(uint16_t flag) const { return (flags & flag) != 0; }

@@ -41,8 +41,10 @@ struct DeltaApplierOptions {
 /// Replica determinism: Train builds the same CandidateState every
 /// replica starts from (training retweets consumed, empty candidates),
 /// and deltas are applied in sequence order by the shard's single
-/// applier thread, so all shards and the builder hold bit-identical
-/// candidate state at every delta boundary
+/// applier thread. An in-process shard receives only its own users'
+/// ops (SplitDeltaByShard), a remote replica the full delta, so at
+/// every delta boundary each holds candidate state bit-identical to the
+/// builder's for every user it receives ops for
 /// (tests/serve/delta_equivalence_test.cc proves it against per-shard
 /// recompute).
 ///

@@ -11,14 +11,54 @@
 namespace simgraph {
 namespace serve {
 
+std::vector<std::shared_ptr<const SimGraphDelta>> SplitDeltaByShard(
+    const SimGraphDelta& delta, const ShardRouter& router) {
+  const auto num_shards = static_cast<size_t>(router.num_shards());
+  if (num_shards == 1) {
+    return {std::make_shared<const SimGraphDelta>(delta)};
+  }
+  std::vector<SimGraphDelta> parts(num_shards);
+  for (SimGraphDelta& part : parts) {
+    part.seq_begin = delta.seq_begin;
+    part.seq_end = delta.seq_end;
+    part.graph_version = delta.graph_version;
+    part.snapshot_epoch = delta.snapshot_epoch;
+    part.flags = delta.flags;
+    part.evict_before = delta.evict_before;
+    part.snapshot = delta.snapshot;
+  }
+  auto part_of = [&](UserId user) -> SimGraphDelta& {
+    return parts[static_cast<size_t>(router.ShardOf(user))];
+  };
+  for (const SimGraphDelta::Consume& op : delta.consumed) {
+    part_of(op.user).consumed.push_back(op);
+  }
+  for (const SimGraphDelta::Deposit& op : delta.deposits) {
+    part_of(op.user).deposits.push_back(op);
+  }
+  for (const UserId user : delta.invalidated) {
+    part_of(user).invalidated.push_back(user);
+  }
+  std::vector<std::shared_ptr<const SimGraphDelta>> out;
+  out.reserve(num_shards);
+  for (SimGraphDelta& part : parts) {
+    out.push_back(std::make_shared<const SimGraphDelta>(std::move(part)));
+  }
+  return out;
+}
+
 DeltaBuilder::DeltaBuilder(SimGraphServingRecommender* source,
                            std::vector<RecommendationService*> shards,
+                           const ShardRouter& router,
                            DeltaBuilderOptions options)
     : source_(source),
       shards_(std::move(shards)),
+      router_(router),
       options_(options),
       queue_(options.queue_capacity) {
   SIMGRAPH_CHECK(!shards_.empty());
+  SIMGRAPH_CHECK_EQ(static_cast<size_t>(router_.num_shards()),
+                    shards_.size());
   if (options_.max_batch_events < 1) options_.max_batch_events = 1;
 }
 
@@ -164,14 +204,16 @@ bool DeltaBuilder::BuildAndShip(IngestItem first) {
   built_seq_.store(seq_end, std::memory_order_relaxed);
 
   WallTimer fanout_timer;
+  std::vector<std::shared_ptr<const SimGraphDelta>> parts =
+      SplitDeltaByShard(scratch_, router_);
   IngestItem out;
-  out.delta = std::make_shared<const SimGraphDelta>(scratch_);
   out.seq = seq_end;
   out.request_id = request_id;
   out.traced = traced;
   out.enqueue_us = request_id != 0 ? trace::NowMicros() : 0;
-  for (RecommendationService* shard : shards_) {
-    if (shard->PublishItem(out) == 0) return false;  // shard stopped
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    out.delta = std::move(parts[i]);
+    if (shards_[i]->PublishItem(out) == 0) return false;  // shard stopped
   }
   if (metrics_on) {
     SIMGRAPH_HISTOGRAM_RECORD("serve.ingest.delta.fanout_us",

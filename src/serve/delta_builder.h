@@ -11,6 +11,7 @@
 
 #include "core/simgraph_delta.h"
 #include "serve/service.h"
+#include "serve/shard_router.h"
 #include "serve/simgraph_serving_recommender.h"
 #include "util/mpmc_queue.h"
 
@@ -28,10 +29,23 @@ struct DeltaBuilderOptions {
   /// per-delta fan-out cost. 1 disables batching.
   int64_t max_batch_events = 16;
   /// Test/replication tap: called on the builder thread with every
-  /// finalised delta before fan-out (the wire-format equivalence test
-  /// serialises from here; a future RPC transport would too).
+  /// finalised delta before it is split for fan-out — always the full
+  /// delta (the wire-format equivalence test serialises from here, and
+  /// ReplicationFanout ships it to remote replicas).
   std::function<void(const SimGraphDelta&)> delta_observer;
 };
+
+/// Splits a finished delta into one sub-delta per shard of `router`.
+/// Sub-delta s holds the consumed marks, deposits and invalidated users
+/// of the users ShardOf maps to s, in recorded order, and copies the
+/// header (seq range, graph_version, snapshot_epoch, flags,
+/// evict_before) and the snapshot pointer. It carries no edge ops: no
+/// applier reads them. With one shard the full delta ships unchanged.
+/// Ops on different users never interact (CandidateState), so a shard
+/// replaying its sub-delta ends in exactly the state the full delta
+/// leaves for its own users.
+std::vector<std::shared_ptr<const SimGraphDelta>> SplitDeltaByShard(
+    const SimGraphDelta& delta, const ShardRouter& router);
 
 /// The single-writer stage of the delta-shipping ingest pipeline
 /// (docs/ingest.md). One builder thread owns the global event queue:
@@ -40,8 +54,9 @@ struct DeltaBuilderOptions {
 ///
 /// In delta mode (`source` != null) the loop pops an event batch, runs
 /// the incremental SimGraph update ONCE on the source recommender while
-/// recording a SimGraphDelta, and fans the finished delta out to every
-/// shard — shards replay O(ops) instead of each re-running the update.
+/// recording a SimGraphDelta, splits the finished delta by owning shard
+/// (SplitDeltaByShard) and hands each shard its own part — a shard
+/// replays and stores only the users it serves.
 /// In replicated mode (`source` == null, the legacy path kept for
 /// generic recommenders and old-vs-new A/B benches) the loop forwards
 /// each raw event to every shard unchanged; there is no mutex around
@@ -59,10 +74,11 @@ struct DeltaBuilderOptions {
 class DeltaBuilder {
  public:
   /// `source` (delta mode) and `shards` must outlive this object; the
-  /// shard services must be Started before this builder.
+  /// shard services must be Started before this builder. `router` maps
+  /// users to indices of `shards` (its shard count must match).
   DeltaBuilder(SimGraphServingRecommender* source,
                std::vector<RecommendationService*> shards,
-               DeltaBuilderOptions options = {});
+               const ShardRouter& router, DeltaBuilderOptions options = {});
   ~DeltaBuilder();
 
   DeltaBuilder(const DeltaBuilder&) = delete;
@@ -108,6 +124,7 @@ class DeltaBuilder {
 
   SimGraphServingRecommender* source_;  // null = replicated mode
   std::vector<RecommendationService*> shards_;
+  ShardRouter router_;
   DeltaBuilderOptions options_;
   BoundedMpmcQueue<IngestItem> queue_;
   std::thread builder_;

@@ -1,7 +1,5 @@
 #include "serve/shard_router.h"
 
-#include <numeric>
-
 namespace simgraph {
 namespace serve {
 namespace {
@@ -24,14 +22,6 @@ int32_t ShardRouter::ShardOf(UserId user) const {
   if (num_shards_ == 1) return 0;
   return static_cast<int32_t>(Mix64(static_cast<uint64_t>(user)) %
                               static_cast<uint64_t>(num_shards_));
-}
-
-std::vector<int32_t> ShardRouter::ShardsForEvent(
-    const RetweetEvent& event) const {
-  (void)event;  // replicated graph state: every event reaches every shard
-  std::vector<int32_t> shards(static_cast<size_t>(num_shards_));
-  std::iota(shards.begin(), shards.end(), 0);
-  return shards;
 }
 
 }  // namespace serve

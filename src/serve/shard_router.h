@@ -2,7 +2,6 @@
 #define SIMGRAPH_SERVE_SHARD_ROUTER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "dataset/types.h"
 
@@ -15,12 +14,12 @@ namespace serve {
 /// (plain `user % shards` would put consecutive users on consecutive
 /// shards, which correlates with community structure in the generator).
 ///
-/// Recommend requests go to exactly ShardOf(user). Events fan out to
-/// ShardsForEvent(event): per-shard graph state is *replicated* (a
-/// similarity deposit can touch users on any shard), so today that is
-/// every shard — the method exists as the seam where a recommender with
-/// provably confined event effects could narrow the fan-out. See
-/// docs/serving.md for the consistency discussion.
+/// Recommend requests go to exactly ShardOf(user). Delta-shipping
+/// writes are partitioned by the same function: the DeltaBuilder splits
+/// every finished delta by the owning shard of each op's user
+/// (SplitDeltaByShard), so a shard replays and stores only the users it
+/// serves. See docs/ingest.md for the pipeline and docs/serving.md for
+/// the consistency discussion.
 class ShardRouter {
  public:
   /// `num_shards` below 1 is clamped to 1.
@@ -30,10 +29,6 @@ class ShardRouter {
 
   /// Home shard of `user` (stable across processes and runs).
   int32_t ShardOf(UserId user) const;
-
-  /// Shards that must apply `event`, each exactly once, in ascending
-  /// order. Currently all shards (replicated graph state).
-  std::vector<int32_t> ShardsForEvent(const RetweetEvent& event) const;
 
  private:
   int32_t num_shards_;

@@ -65,8 +65,9 @@ void ShardedService::BuildPipeline() {
   if (options_.replication != nullptr) {
     SIMGRAPH_CHECK(source_ != nullptr)
         << "replication fanout requires delta-shipping mode";
-    // Chain the fanout onto the builder tap: remote replicas see the
-    // exact delta the in-process shards receive, in the same order.
+    // Chain the fanout onto the builder tap: remote replicas get the
+    // full delta (every user's ops) that the in-process shards' parts
+    // are split from, in the same order.
     ReplicationFanout* fanout = options_.replication;
     std::function<void(const SimGraphDelta&)> observer =
         options_.delta_observer;
@@ -76,8 +77,9 @@ void ShardedService::BuildPipeline() {
           fanout->ShipDelta(delta);
         };
   }
-  pipeline_ = std::make_unique<DeltaBuilder>(
-      source_.get(), std::move(shard_ptrs), std::move(builder_options));
+  pipeline_ = std::make_unique<DeltaBuilder>(source_.get(),
+                                             std::move(shard_ptrs), router_,
+                                             std::move(builder_options));
 }
 
 ShardedService::~ShardedService() { Stop(); }

@@ -33,7 +33,8 @@ struct ShardedServiceOptions {
   /// backlog forms (see DeltaBuilderOptions::max_batch_events).
   int64_t max_batch_events = 16;
   /// Optional tap called on the builder thread with every finalised
-  /// delta before fan-out (tests, wire-format replication).
+  /// delta before it is split for fan-out — always the full delta
+  /// (tests, wire-format replication).
   std::function<void(const SimGraphDelta&)> delta_observer;
   /// Optional multi-process replication (docs/replication.md): when
   /// set, every finalised delta is also shipped to the fanout's remote
@@ -55,9 +56,11 @@ struct ShardedServiceOptions {
 ///   * Delta-shipping (the ServingSimGraphOptions constructor, the
 ///     default for SimGraph serving): ONE SimGraphServingRecommender is
 ///     the builder's source of truth; every shard is a cheap
-///     DeltaApplierRecommender that replays the builder's recorded
-///     SimGraphDelta ops. The incremental update and propagation run
-///     once per event batch regardless of shard count.
+///     DeltaApplierRecommender that replays the part of each recorded
+///     SimGraphDelta that touches the users it owns (SplitDeltaByShard).
+///     The incremental update and propagation run once per event batch
+///     regardless of shard count, and each shard stores only its own
+///     users' candidates.
 ///   * Replicated (the RecommenderFactory constructor, kept for generic
 ///     recommenders and old-vs-new A/B benches): `factory` builds one
 ///     recommender replica per shard and every shard re-runs the full

@@ -57,19 +57,6 @@ TEST(ShardRouterTest, SequentialUsersBalanceAcrossShards) {
   }
 }
 
-// Replicated ingestion: every shard is affected by every event (see the
-// ShardRouter header for why), reported in ascending order.
-TEST(ShardRouterTest, EventsFanOutToAllShardsInOrder) {
-  const ShardRouter router(4);
-  const std::vector<int32_t> shards =
-      router.ShardsForEvent(RetweetEvent{/*tweet=*/3, /*user=*/9,
-                                         /*time=*/100});
-  ASSERT_EQ(shards.size(), 4u);
-  for (int32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(shards[static_cast<size_t>(i)], i);
-  }
-}
-
 }  // namespace
 }  // namespace serve
 }  // namespace simgraph

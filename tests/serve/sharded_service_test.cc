@@ -217,6 +217,50 @@ TEST_F(ShardedServiceTest, DeltaModeKeepsFrontDoorInvariants) {
   service.Stop();
 }
 
+// Delta-shipping shards are partitioned, not replicated: the builder
+// hands each shard only the ops of the users it owns, so a shard that
+// does not own a user holds no candidates for them, while the routed
+// answer still matches a single-threaded prefix recompute.
+TEST_F(ShardedServiceTest, DeltaShardsHoldOnlyTheUsersTheyOwn) {
+  ShardedServiceOptions options;
+  options.num_shards = 4;
+  options.shard_options.cache_ttl = 0;
+  ShardedService service(ServingSimGraphOptions{}, options);
+  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
+  service.Start();
+
+  SimGraphRecommender reference;
+  ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
+  const int64_t num_test = dataset_.num_retweets() - protocol_.train_end;
+  uint64_t seq = 0;
+  for (int64_t i = 0; i < num_test; ++i) {
+    const RetweetEvent& e =
+        dataset_.retweets[static_cast<size_t>(protocol_.train_end + i)];
+    seq = service.Publish(e);
+    reference.Observe(e);
+  }
+  service.WaitForApplied(seq);
+
+  const Timestamp now = dataset_.retweets.back().time;
+  int64_t non_empty = 0;
+  for (const UserId user : sample_) {
+    const RecommendResponse routed = service.Recommend({user, now, 10});
+    ASSERT_TRUE(routed.status.ok());
+    ExpectSameLists(routed.tweets, reference.Recommend(user, now, 10), user);
+    if (!routed.tweets.empty()) ++non_empty;
+    const int32_t owner = service.ShardOf(user);
+    for (int32_t s = 0; s < service.num_shards(); ++s) {
+      if (s == owner) continue;
+      EXPECT_TRUE(service.shard(s).recommender().Recommend(user, now, 10)
+                      .empty())
+          << "user " << user << " on non-owning shard " << s;
+    }
+  }
+  // The emptiness checks above only mean something if owners answer.
+  EXPECT_GT(non_empty, 0);
+  service.Stop();
+}
+
 TEST_F(ShardedServiceTest, StopIsIdempotentAndRejectsFurtherPublishes) {
   ShardedServiceOptions options;
   options.num_shards = 2;
