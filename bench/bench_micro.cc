@@ -250,8 +250,7 @@ namespace {
 // this measures the allocation-free steady state of the serving path.
 PropagationLegResult RunPropagationLeg(const std::string& name,
                                        const SimGraph& sg, int32_t num_seeds,
-                                       double measure_seconds,
-                                       AccumulateMode accumulate) {
+                                       double measure_seconds) {
   PropagationLegResult leg;
   leg.name = name;
 
@@ -272,8 +271,7 @@ PropagationLegResult RunPropagationLeg(const std::string& name,
   }
 
   Propagator prop(sg);
-  PropagationOptions opts;
-  opts.accumulate = accumulate;
+  const PropagationOptions opts;
   PropagationScratch scratch;
   PropagationResult result;
   for (const auto& seeds : seed_sets) {  // warm the scratch
@@ -333,31 +331,7 @@ int RunPropagationSweep(const std::string& snapshot_path) {
     for (const int32_t seeds : seed_counts) {
       PropagationLegResult leg = RunPropagationLeg(
           std::string(spec.label) + "_seeds" + std::to_string(seeds), sg,
-          seeds, measure_seconds, AccumulateMode::kExact);
-      std::cout << "  " << leg.name << ": " << leg.runs_per_s << " runs/s, "
-                << leg.ns_per_update << " ns/update, "
-                << leg.mean_latency_us << " us/run\n";
-      legs.push_back(std::move(leg));
-    }
-  }
-
-  // Two opt-in SIMD legs on the dense graph: AccumulateMode::kLanes
-  // reassociates the gather reduction (vector gather under CPU dispatch,
-  // see docs/architecture.md), so it gets its own keys instead of
-  // silently changing what the exact legs measure.
-  {
-    SimGraphOptions opts;
-    opts.tau = 0.002;
-    const SimGraph sg =
-        BuildSimGraph(MicroDataset().follow_graph, MicroProfiles(), opts);
-    std::cout << "  (kLanes dispatch: "
-              << (internal::LanesUseVectorGather() ? "avx2+fma vector gather"
-                                                   : "scalar lanes")
-              << ")\n";
-    for (const int32_t seeds : {16, 64}) {
-      PropagationLegResult leg = RunPropagationLeg(
-          "fanhi_seeds" + std::to_string(seeds) + "_lanes", sg, seeds,
-          measure_seconds, AccumulateMode::kLanes);
+          seeds, measure_seconds);
       std::cout << "  " << leg.name << ": " << leg.runs_per_s << " runs/s, "
                 << leg.ns_per_update << " ns/update, "
                 << leg.mean_latency_us << " us/run\n";

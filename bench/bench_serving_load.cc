@@ -21,14 +21,6 @@
 //   SIMGRAPH_BENCH_SERVE_DEADLINE_US  per-request budget, 0 = off (0)
 //   SIMGRAPH_BENCH_SERVE_REFRESH  snapshot refresh cadence in events (2000)
 //   SIMGRAPH_BENCH_SERVE_SHARDS   service shards behind the router (1)
-//   SIMGRAPH_BENCH_SERVE_INGEST   ingest pipeline mode (docs/ingest.md):
-//                                 "delta" (default) = one DeltaBuilder
-//                                 computes the SimGraph update once and
-//                                 ships deltas to every shard;
-//                                 "replicated" = the legacy path, every
-//                                 shard re-runs the full update;
-//                                 "ab" = run every leg in both modes and
-//                                 report the old-vs-new apply-cost ratio
 //   SIMGRAPH_BENCH_SERVE_SHARD_SWEEP  comma-separated shard counts, e.g.
 //                                 "1,2,4,8": run the whole load once per
 //                                 count and report scaling (also the
@@ -286,8 +278,6 @@ struct LoadConfig {
   bool use_tcp = false;
   /// TCP legs speak the SGRQ binary framing instead of NDJSON.
   bool use_binary = false;
-  /// Delta-shipping ingest (docs/ingest.md) vs legacy replicated apply.
-  bool delta_ingest = true;
   /// When set, every leg serves from this one pinned mmap'd graph image
   /// and `dataset_override` (the graph-stripped dataset) replaces
   /// bench::BenchDataset().
@@ -297,7 +287,6 @@ struct LoadConfig {
 
 struct LoadResult {
   int32_t num_shards = 1;
-  bool delta_ingest = true;
   WorkerTally total;
   double hit_rate = 0;
   double closed_throughput = 0;
@@ -310,9 +299,9 @@ struct LoadResult {
   double apply_p50_us = 0;
   double apply_p99_us = 0;
   double drain_wait_seconds = 0;
-  /// Delta-ingest pipeline stats (0 in replicated mode): one-time build
-  /// cost on the builder thread, per-shard replay cost, wire size, and
-  /// how many events each shipped delta covered.
+  /// Delta-ingest pipeline stats: one-time build cost on the builder
+  /// thread, per-shard replay cost, wire size, and how many events each
+  /// shipped delta covered.
   double build_p50_us = 0;
   double build_p99_us = 0;
   double delta_apply_p50_us = 0;
@@ -320,8 +309,7 @@ struct LoadResult {
   double delta_bytes_p50 = 0;
   double batch_events_mean = 0;
   /// Total ingest CPU per published event, summed over builder + every
-  /// shard. Replicated apply makes this ~linear in the shard count (N
-  /// full updates per event); delta-shipping holds it ~flat (one build
+  /// shard. Delta-shipping holds it ~flat in the shard count (one build
   /// plus N cheap replays) — the headline number of docs/ingest.md.
   double apply_per_event_us = 0;
 };
@@ -336,15 +324,7 @@ std::unique_ptr<serve::ShardedService> MakeService(const LoadConfig& config) {
   options.shard_options.cache_ttl = config.cache_ttl;
   options.shard_options.deadline =
       std::chrono::microseconds(config.deadline_us);
-  if (config.delta_ingest) {
-    return std::make_unique<serve::ShardedService>(rec_options, options);
-  }
-  return std::make_unique<serve::ShardedService>(
-      [rec_options] {
-        return std::make_unique<serve::SimGraphServingRecommender>(
-            rec_options);
-      },
-      options);
+  return std::make_unique<serve::ShardedService>(rec_options, options);
 }
 
 /// Runs both load phases against a freshly built ShardedService and
@@ -360,9 +340,8 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
   serve::ShardedService& service = *service_ptr;
 
   std::cout << "training " << config.num_shards << " shard"
-            << (config.num_shards == 1 ? "" : "s") << " ("
-            << (config.delta_ingest ? "delta" : "replicated")
-            << " ingest) on " << protocol.train_end << " events...\n";
+            << (config.num_shards == 1 ? "" : "s") << " (delta ingest) on "
+            << protocol.train_end << " events...\n";
   const Status trained = service.Train(dataset, protocol.train_end);
   if (!trained.ok()) {
     std::cerr << trained.ToString() << "\n";
@@ -581,9 +560,7 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
       registry.histogram("serve.ingest.delta.batch_events");
 
   TableWriter table("Serving load (" + std::to_string(config.num_shards) +
-                    " shards, " +
-                    (config.delta_ingest ? "delta" : "replicated") +
-                    std::string(" ingest, ") + std::to_string(num_threads) +
+                    " shards, delta ingest, " + std::to_string(num_threads) +
                     " workers, " + std::to_string(num_events) +
                     " events replayed)");
   table.SetHeader({"metric", "value"});
@@ -604,23 +581,17 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
       {"apply p50 (ms)", TableWriter::Cell(apply_latency.p50() * 1e3)});
   table.AddRow(
       {"apply p99 (ms)", TableWriter::Cell(apply_latency.p99() * 1e3)});
-  if (config.delta_ingest) {
-    table.AddRow(
-        {"delta build p50 (us)", TableWriter::Cell(delta_build.p50())});
-    table.AddRow(
-        {"delta bytes p50", TableWriter::Cell(delta_bytes.p50())});
-    table.AddRow({"delta batch mean",
-                  TableWriter::Cell(delta_batch.count() > 0
-                                        ? delta_batch.sum() /
-                                              delta_batch.count()
-                                        : 0.0)});
-  }
+  table.AddRow({"delta build p50 (us)", TableWriter::Cell(delta_build.p50())});
+  table.AddRow({"delta bytes p50", TableWriter::Cell(delta_bytes.p50())});
+  table.AddRow({"delta batch mean",
+                TableWriter::Cell(delta_batch.count() > 0
+                                      ? delta_batch.sum() / delta_batch.count()
+                                      : 0.0)});
   table.AddRow({"drain wait (s)", TableWriter::Cell(drain_wait_seconds)});
   table.Print(std::cout);
 
   const auto us = [](double seconds) { return seconds * 1e6; };
   out->num_shards = config.num_shards;
-  out->delta_ingest = config.delta_ingest;
   out->total = total;
   out->hit_rate = hit_rate;
   out->closed_throughput = closed_throughput;
@@ -635,7 +606,7 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
   out->apply_p99_us = us(apply_latency.p99());
   out->drain_wait_seconds = drain_wait_seconds;
   // The delta histograms already record microseconds (and bytes/counts),
-  // so no unit conversion here; all four are empty in replicated mode.
+  // so no unit conversion here.
   out->build_p50_us = delta_build.p50();
   out->build_p99_us = delta_build.p99();
   out->delta_apply_p50_us = delta_apply.p50();
@@ -643,8 +614,7 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
   out->delta_bytes_p50 = delta_bytes.p50();
   out->batch_events_mean =
       delta_batch.count() > 0 ? delta_batch.sum() / delta_batch.count() : 0.0;
-  // apply_seconds sums every shard's apply work (replicated: N full
-  // updates per event; delta: N replays), build_us the builder's
+  // apply_seconds sums every shard's replay work, build_us the builder's
   // one-time update — together the system's ingest cost per event.
   const double total_apply_us = apply_latency.sum() * 1e6 + delta_build.sum();
   out->apply_per_event_us =
@@ -1228,8 +1198,9 @@ void WriteLegJson(std::ostream& out, const LoadResult& leg,
       << "},\n"
       << indent << "\"ingest\": {\"apply_us\": {\"p50\": "
       << leg.apply_p50_us << ", \"p99\": " << leg.apply_p99_us
-      << "}, \"delta_mode\": " << (leg.delta_ingest ? 1 : 0)
-      << ", \"build_us\": {\"p50\": " << leg.build_p50_us
+      // delta_mode is always 1 (delta shipping is the only ingest path);
+      // the key stays so committed baselines keep their shape.
+      << "}, \"delta_mode\": 1, \"build_us\": {\"p50\": " << leg.build_p50_us
       << ", \"p99\": " << leg.build_p99_us
       << "}, \"delta\": {\"apply_us_p50\": " << leg.delta_apply_p50_us
       << ", \"apply_us_p99\": " << leg.delta_apply_p99_us
@@ -1634,16 +1605,6 @@ int Run(int argc, char** argv) {
       std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_SERVE_SHARDS", 1)));
   config.use_tcp = GetEnvInt64("SIMGRAPH_BENCH_SERVE_TCP", 0) != 0;
   config.use_binary = GetEnvInt64("SIMGRAPH_BENCH_SERVE_BINARY", 0) != 0;
-  const std::string ingest_mode =
-      GetEnvString("SIMGRAPH_BENCH_SERVE_INGEST", "delta");
-  if (ingest_mode != "delta" && ingest_mode != "replicated" &&
-      ingest_mode != "ab") {
-    std::cerr << "unknown SIMGRAPH_BENCH_SERVE_INGEST " << ingest_mode
-              << " (want delta|replicated|ab)\n";
-    return 2;
-  }
-  config.delta_ingest = ingest_mode != "replicated";
-  const bool ab_ingest = ingest_mode == "ab";
   const std::string snapshot_path =
       GetEnvString("SIMGRAPH_BENCH_SERVE_SNAPSHOT", "");
 
@@ -1732,21 +1693,7 @@ int Run(int argc, char** argv) {
   bench::PrintPreamble("serving load");
 
   std::vector<LoadResult> legs;
-  std::vector<LoadResult> replicated_legs;  // ab mode only
   for (const int32_t shards : shard_counts) {
-    if (ab_ingest) {
-      // Old-vs-new A/B: the replicated leg runs first, against the same
-      // shard count and the same load, into its own registry epoch.
-      metrics::Registry::Global().Reset();
-      LoadConfig leg_config = config;
-      leg_config.num_shards = shards;
-      leg_config.delta_ingest = false;
-      LoadResult result;
-      if (const int rc = RunLoadPhases(leg_config, &result); rc != 0) {
-        return rc;
-      }
-      replicated_legs.push_back(result);
-    }
     // Each leg reads its own percentiles, so the shared registry must
     // start clean (values are zeroed; instruments stay registered).
     metrics::Registry::Global().Reset();
@@ -1759,21 +1706,6 @@ int Run(int argc, char** argv) {
     legs.push_back(result);
   }
 
-  if (ab_ingest) {
-    TableWriter table("Ingest A/B (replicated vs delta-shipping)");
-    table.SetHeader({"shards", "old apply p50 (us)", "new apply p50 (us)",
-                     "old drain (s)", "new drain (s)"});
-    for (size_t i = 0; i < legs.size(); ++i) {
-      table.AddRow(
-          {TableWriter::Cell(static_cast<int64_t>(legs[i].num_shards)),
-           TableWriter::Cell(replicated_legs[i].apply_p50_us),
-           TableWriter::Cell(legs[i].apply_p50_us),
-           TableWriter::Cell(replicated_legs[i].drain_wait_seconds),
-           TableWriter::Cell(legs[i].drain_wait_seconds)});
-    }
-    table.Print(std::cout);
-  }
-
   if (sweeping) {
     // Scaling relative to the first (fewest-shard) leg. The metric names
     // carry the better-direction for tools/metrics_diff: throughput
@@ -1784,9 +1716,9 @@ int Run(int argc, char** argv) {
         top.closed_throughput / std::max(base.closed_throughput, 1e-9);
     const double latency_ratio =
         top.latency_p99_us / std::max(base.latency_p99_us, 1e-9);
-    // With delta-shipping ingest this ratio must stay ~1: per-event
-    // ingest cost is one build + cheap replays, not one full update per
-    // shard, so it no longer grows with the shard count.
+    // This ratio must stay ~1: per-event ingest cost is one build plus
+    // cheap replays, not one full update per shard, so it does not grow
+    // with the shard count.
     const double apply_ratio =
         top.apply_per_event_us / std::max(base.apply_per_event_us, 1e-9);
     SIMGRAPH_GAUGE_SET("serve.bench.scaling_speedup_throughput", speedup);

@@ -31,12 +31,14 @@ struct DeltaApplierOptions {
 };
 
 /// The cheap shard-side half of the delta-shipping ingest pipeline
-/// (docs/ingest.md): where a replicated shard re-runs the entire
-/// incremental SimGraph update per event, a DeltaApplierRecommender only
-/// replays the compact op stream the DeltaBuilder recorded — candidate
-/// deposits, consumed marks, an occasional eviction watermark, and
-/// snapshot epoch swaps — so its per-event cost is O(ops shipped), not
-/// O(incremental update + propagation).
+/// (docs/ingest.md): the DeltaBuilder runs the incremental SimGraph
+/// update once, and a DeltaApplierRecommender only replays the compact
+/// op stream it recorded — candidate deposits, consumed marks, an
+/// occasional eviction watermark, and snapshot epoch swaps — so its
+/// per-event cost is O(ops shipped), not O(incremental update +
+/// propagation). It never reads the delta's edge ops: graph stats come
+/// from the shipped snapshot pointer or, on a remote replica, from the
+/// replication handshake.
 ///
 /// Replica determinism: Train builds the same CandidateState every
 /// replica starts from (training retweets consumed, empty candidates),
@@ -45,8 +47,8 @@ struct DeltaApplierOptions {
 /// ops (SplitDeltaByShard), a remote replica the full delta, so at
 /// every delta boundary each holds candidate state bit-identical to the
 /// builder's for every user it receives ops for
-/// (tests/serve/delta_equivalence_test.cc proves it against per-shard
-/// recompute).
+/// (tests/serve/delta_equivalence_test.cc proves it against a
+/// single-threaded prefix recompute).
 ///
 /// ObserveAffected CHECK-fails: a delta shard never sees raw events.
 class DeltaApplierRecommender final : public ServingRecommender {

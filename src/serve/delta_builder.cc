@@ -56,6 +56,7 @@ DeltaBuilder::DeltaBuilder(SimGraphServingRecommender* source,
       router_(router),
       options_(options),
       queue_(options.queue_capacity) {
+  SIMGRAPH_CHECK(source_ != nullptr);
   SIMGRAPH_CHECK(!shards_.empty());
   SIMGRAPH_CHECK_EQ(static_cast<size_t>(router_.num_shards()),
                     shards_.size());
@@ -141,9 +142,8 @@ void DeltaBuilder::BuildLoop() {
       return;
     }
     RecordQueueWait(item);
-    const bool shipped =
-        delta_mode() ? BuildAndShip(std::move(item)) : Forward(std::move(item));
-    if (!shipped) return;  // a shard stopped; nothing more can land
+    // False: a shard stopped, so nothing more can land.
+    if (!BuildAndShip(std::move(item))) return;
   }
 }
 
@@ -218,18 +218,6 @@ bool DeltaBuilder::BuildAndShip(IngestItem first) {
   if (metrics_on) {
     SIMGRAPH_HISTOGRAM_RECORD("serve.ingest.delta.fanout_us",
                               fanout_timer.ElapsedSeconds() * 1e6);
-  }
-  return true;
-}
-
-bool DeltaBuilder::Forward(IngestItem item) {
-  // Replicated mode: every shard re-runs the incremental update itself.
-  // Restart the queue-wait clock so each shard attributes only its own
-  // local queueing.
-  item.enqueue_us = item.request_id != 0 ? trace::NowMicros() : 0;
-  built_seq_.store(item.seq, std::memory_order_relaxed);
-  for (RecommendationService* shard : shards_) {
-    if (shard->PublishItem(item) == 0) return false;  // shard stopped
   }
   return true;
 }

@@ -52,30 +52,26 @@ std::vector<std::shared_ptr<const SimGraphDelta>> SplitDeltaByShard(
 ///
 ///   publishers --> [global queue] --> BuildLoop --> shard 0..N-1 queues
 ///
-/// In delta mode (`source` != null) the loop pops an event batch, runs
-/// the incremental SimGraph update ONCE on the source recommender while
-/// recording a SimGraphDelta, splits the finished delta by owning shard
-/// (SplitDeltaByShard) and hands each shard its own part — a shard
-/// replays and stores only the users it serves.
-/// In replicated mode (`source` == null, the legacy path kept for
-/// generic recommenders and old-vs-new A/B benches) the loop forwards
-/// each raw event to every shard unchanged; there is no mutex around
-/// the fan-out because this one thread is the only shard publisher, so
-/// per-shard queue order — and therefore the lockstep sequence
-/// numbering — is preserved by construction.
+/// The loop pops an event batch, runs the incremental SimGraph update
+/// ONCE on the source recommender while recording a SimGraphDelta,
+/// splits the finished delta by owning shard (SplitDeltaByShard) and
+/// hands each shard its own part — a shard replays and stores only the
+/// users it serves. There is no mutex around the fan-out: this one
+/// thread is the only shard publisher, so per-shard queue order is
+/// preserved by construction.
 ///
 /// Sequence numbers: the global queue's push ticket + 1 is THE global
 /// sequence number returned by Publish; the single consumer pops in
 /// ticket order, so it re-derives each event's number by counting.
-/// Fan-out stamps the covered seq (delta: seq_end) on every forwarded
-/// item, and shards jump their applied counter to it — AppliedSeq
-/// semantics (per-shard applied seq, global = min, WaitForApplied) are
-/// exactly the replicated path's.
+/// Fan-out stamps the delta's seq_end on every shard's part, and shards
+/// jump their applied counter to it: each shard's applied seq covers a
+/// whole prefix of the global stream, the global applied seq is the
+/// minimum over shards, and WaitForApplied waits on every shard.
 class DeltaBuilder {
  public:
-  /// `source` (delta mode) and `shards` must outlive this object; the
-  /// shard services must be Started before this builder. `router` maps
-  /// users to indices of `shards` (its shard count must match).
+  /// `source` and `shards` must outlive this object; the shard services
+  /// must be Started before this builder. `router` maps users to indices
+  /// of `shards` (its shard count must match).
   DeltaBuilder(SimGraphServingRecommender* source,
                std::vector<RecommendationService*> shards,
                const ShardRouter& router, DeltaBuilderOptions options = {});
@@ -87,7 +83,7 @@ class DeltaBuilder {
   /// Starts the builder thread. Idempotent.
   void Start();
 
-  /// Closes the queue, builds/forwards everything still buffered, and
+  /// Closes the queue, builds and ships everything still buffered, and
   /// joins the thread. Idempotent. Call before stopping the shards.
   void Stop();
 
@@ -95,10 +91,8 @@ class DeltaBuilder {
   /// global sequence number (1-based), 0 when stopped.
   uint64_t Publish(const RetweetEvent& event);
 
-  bool delta_mode() const { return source_ != nullptr; }
-
-  /// Sequence number of the last event folded into a shipped delta (or
-  /// forwarded raw event). Applied shard state trails this.
+  /// Sequence number of the last event folded into a shipped delta.
+  /// Applied shard state trails this.
   uint64_t built_seq() const {
     return built_seq_.load(std::memory_order_relaxed);
   }
@@ -116,13 +110,11 @@ class DeltaBuilder {
   void BuildLoop();
   /// Builds one delta from `first` plus up to max_batch_events - 1 more
   /// queued events, runs the observer, and fans it out. False when a
-  /// shard rejected the forward (stopped) — the loop exits.
+  /// shard rejected its part (stopped) — the loop exits.
   bool BuildAndShip(IngestItem first);
-  /// Replicated mode: forwards one raw event to every shard.
-  bool Forward(IngestItem item);
   void RecordQueueWait(const IngestItem& item);
 
-  SimGraphServingRecommender* source_;  // null = replicated mode
+  SimGraphServingRecommender* source_;
   std::vector<RecommendationService*> shards_;
   ShardRouter router_;
   DeltaBuilderOptions options_;

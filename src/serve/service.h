@@ -120,9 +120,9 @@ class RecommendationService : public ServingBackend {
   uint64_t Publish(const RetweetEvent& event) override;
 
   /// Enqueues a pre-assembled item (pipeline fan-out: the DeltaBuilder
-  /// forwards deltas — or, in replicated mode, raw events — with the
-  /// global sequence number already stamped). Returns the local queue
-  /// ticket + 1, or 0 when stopped. Direct API users want Publish.
+  /// hands each shard its part of a delta with the global sequence
+  /// number already stamped). Returns the local queue ticket + 1, or 0
+  /// when stopped. Direct API users want Publish.
   uint64_t PublishItem(IngestItem item);
 
   /// Sequence number of the last applied event (0 before any).

@@ -69,8 +69,9 @@ class ServingRecommender : public Recommender {
 
   /// Called once by RecommendationService when the recommender serves a
   /// shard of a sharded deployment (the shard index is only known there:
-  /// ShardedService assigns it after the factory runs). Implementations
-  /// may cache per-shard metric handles; default is a no-op.
+  /// ShardedService assigns it when it wraps each shard's recommender in
+  /// a service). Implementations may cache per-shard metric handles;
+  /// default is a no-op.
   virtual void BindShard(int32_t shard) { (void)shard; }
 
   /// Applies one delta shipped by the DeltaBuilder pipeline

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -34,27 +33,7 @@ ShardedService::ShardedService(const ServingSimGraphOptions& simgraph_options,
     shards_.push_back(std::make_unique<RecommendationService>(
         std::move(applier), shard_options));
   }
-  BuildPipeline();
-}
 
-ShardedService::ShardedService(const RecommenderFactory& factory,
-                               ShardedServiceOptions options)
-    : options_(std::move(options)), router_(options_.num_shards) {
-  SIMGRAPH_CHECK(factory != nullptr);
-  shards_.reserve(static_cast<size_t>(router_.num_shards()));
-  for (int32_t i = 0; i < router_.num_shards(); ++i) {
-    ServiceOptions shard_options = options_.shard_options;
-    shard_options.shard = i;
-    std::unique_ptr<ServingRecommender> recommender = factory();
-    SIMGRAPH_CHECK(recommender != nullptr)
-        << "recommender factory returned null for shard " << i;
-    shards_.push_back(std::make_unique<RecommendationService>(
-        std::move(recommender), shard_options));
-  }
-  BuildPipeline();
-}
-
-void ShardedService::BuildPipeline() {
   std::vector<RecommendationService*> shard_ptrs;
   shard_ptrs.reserve(shards_.size());
   for (const auto& shard : shards_) shard_ptrs.push_back(shard.get());
@@ -63,8 +42,6 @@ void ShardedService::BuildPipeline() {
   builder_options.max_batch_events = options_.max_batch_events;
   builder_options.delta_observer = options_.delta_observer;
   if (options_.replication != nullptr) {
-    SIMGRAPH_CHECK(source_ != nullptr)
-        << "replication fanout requires delta-shipping mode";
     // Chain the fanout onto the builder tap: remote replicas get the
     // full delta (every user's ops) that the in-process shards' parts
     // are split from, in the same order.
@@ -87,20 +64,17 @@ ShardedService::~ShardedService() { Stop(); }
 Status ShardedService::Train(const Dataset& dataset, int64_t train_end) {
   // The builder source and the shards are independent until seeding;
   // train them all in parallel, one thread each.
-  const size_t jobs = shards_.size() + (source_ != nullptr ? 1 : 0);
-  std::vector<Status> statuses(jobs, Status::Ok());
+  std::vector<Status> statuses(shards_.size() + 1, Status::Ok());
   std::vector<std::thread> trainers;
-  trainers.reserve(jobs);
+  trainers.reserve(statuses.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     trainers.emplace_back([this, &dataset, train_end, &statuses, i] {
       statuses[i] = shards_[i]->Train(dataset, train_end);
     });
   }
-  if (source_ != nullptr) {
-    trainers.emplace_back([this, &dataset, train_end, &statuses] {
-      statuses.back() = source_->Train(dataset, train_end);
-    });
-  }
+  trainers.emplace_back([this, &dataset, train_end, &statuses] {
+    statuses.back() = source_->Train(dataset, train_end);
+  });
   for (std::thread& t : trainers) t.join();
   for (const Status& status : statuses) {
     SIMGRAPH_RETURN_IF_ERROR(status);
@@ -108,17 +82,14 @@ Status ShardedService::Train(const Dataset& dataset, int64_t train_end) {
   // Appliers never build a graph of their own: hand each the source's
   // trained snapshot so propagation state starts from the same epoch
   // the builder will record refreshes against.
-  if (source_ != nullptr) {
-    for (DeltaApplierRecommender* applier : appliers_) {
-      applier->SeedSnapshot(source_->GraphSnapshot(), source_->graph_epoch());
-    }
-    if (options_.replication != nullptr) {
-      const std::shared_ptr<const SimGraph> snapshot =
-          source_->GraphSnapshot();
-      options_.replication->SeedGraphStats(
-          source_->graph_epoch(),
-          snapshot != nullptr ? snapshot->graph.num_edges() : 0);
-    }
+  for (DeltaApplierRecommender* applier : appliers_) {
+    applier->SeedSnapshot(source_->GraphSnapshot(), source_->graph_epoch());
+  }
+  if (options_.replication != nullptr) {
+    const std::shared_ptr<const SimGraph> snapshot = source_->GraphSnapshot();
+    options_.replication->SeedGraphStats(
+        source_->graph_epoch(),
+        snapshot != nullptr ? snapshot->graph.num_edges() : 0);
   }
   return Status::Ok();
 }
@@ -251,15 +222,12 @@ BackendStats ShardedService::Stats() const {
     const uint64_t remote = options_.replication->MinAckedSeq();
     if (remote < stats.applied_seq) stats.applied_seq = remote;
   }
-  if (source_ != nullptr) {
-    // How far the slowest shard — local or live remote replica —
-    // trails the builder, in events.
-    const uint64_t built = pipeline_->built_seq();
-    const uint64_t lag =
-        built > stats.applied_seq ? built - stats.applied_seq : 0;
-    SIMGRAPH_GAUGE_SET("serve.ingest.delta.lag_events",
-                       static_cast<double>(lag));
-  }
+  // How far the slowest shard — local or live remote replica — trails
+  // the builder, in events.
+  const uint64_t built = pipeline_->built_seq();
+  const uint64_t lag =
+      built > stats.applied_seq ? built - stats.applied_seq : 0;
+  SIMGRAPH_GAUGE_SET("serve.ingest.delta.lag_events", static_cast<double>(lag));
   return stats;
 }
 

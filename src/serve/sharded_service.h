@@ -41,7 +41,7 @@ struct ShardedServiceOptions {
   /// replicas (after delta_observer), remote acks fold into
   /// AppliedSeq/WaitForApplied, and Stats' lag gauge covers the slowest
   /// live replica. Not owned; must be Started by the caller and outlive
-  /// this service. Delta-shipping mode only.
+  /// this service.
   ReplicationFanout* replication = nullptr;
 };
 
@@ -51,29 +51,18 @@ struct ShardedServiceOptions {
 /// own ingestion queue, applier thread, result cache, recommender — so
 /// shards share no mutable state and never contend on locks.
 ///
-/// Two construction modes:
-///
-///   * Delta-shipping (the ServingSimGraphOptions constructor, the
-///     default for SimGraph serving): ONE SimGraphServingRecommender is
-///     the builder's source of truth; every shard is a cheap
-///     DeltaApplierRecommender that replays the part of each recorded
-///     SimGraphDelta that touches the users it owns (SplitDeltaByShard).
-///     The incremental update and propagation run once per event batch
-///     regardless of shard count, and each shard stores only its own
-///     users' candidates.
-///   * Replicated (the RecommenderFactory constructor, kept for generic
-///     recommenders and old-vs-new A/B benches): `factory` builds one
-///     recommender replica per shard and every shard re-runs the full
-///     update per event.
-///
-/// Either way all writes flow through one DeltaBuilder pipeline:
+/// ONE SimGraphServingRecommender is the builder's source of truth; every
+/// shard is a cheap DeltaApplierRecommender that replays the part of each
+/// recorded SimGraphDelta that touches the users it owns
+/// (SplitDeltaByShard). The incremental update and propagation run once
+/// per event batch regardless of shard count, and each shard stores only
+/// its own users' candidates. All writes flow through one DeltaBuilder:
 ///
 ///   Publish --> [global queue] --> builder thread --> shard queues
 ///
-/// The global queue's push ticket is THE global sequence number — there
-/// is no publish mutex; the old lockstep-by-mutex scheme is retired.
-/// The single builder thread fans out in pop order and stamps the
-/// covered sequence number on every forwarded item, so:
+/// The global queue's push ticket is THE global sequence number. The
+/// single builder thread fans out in pop order and stamps the covered
+/// sequence number on every shard's part, so:
 ///
 ///   * Recommend(request) routes to the single shard owning the user
 ///     (router_.ShardOf), where it runs exactly as on an unsharded
@@ -94,17 +83,9 @@ struct ShardedServiceOptions {
 /// ("Sharded serving") for routing and consistency caveats.
 class ShardedService : public ServingBackend {
  public:
-  using RecommenderFactory =
-      std::function<std::unique_ptr<ServingRecommender>()>;
-
-  /// Delta-shipping mode: one SimGraphServingRecommender source feeding
-  /// DeltaApplierRecommender shards.
+  /// One SimGraphServingRecommender built from `simgraph_options` feeds
+  /// `options.num_shards` DeltaApplierRecommender shards.
   explicit ShardedService(const ServingSimGraphOptions& simgraph_options,
-                          ShardedServiceOptions options = {});
-
-  /// Replicated mode: calls `factory` once per shard to build the
-  /// per-shard recommender replicas; every shard re-applies each event.
-  explicit ShardedService(const RecommenderFactory& factory,
                           ShardedServiceOptions options = {});
   ~ShardedService() override;
 
@@ -145,14 +126,11 @@ class ShardedService : public ServingBackend {
   int32_t num_shards() const { return router_.num_shards(); }
   int32_t ShardOf(UserId user) const { return router_.ShardOf(user); }
 
-  /// True when constructed in delta-shipping mode.
-  bool delta_shipping() const { return source_ != nullptr; }
-
-  /// The builder's source of truth (null in replicated mode). Ingest is
-  /// single-threaded inside the builder; inspect only while quiescent.
+  /// The builder's source of truth. Ingest is single-threaded inside the
+  /// builder; inspect only while quiescent.
   SimGraphServingRecommender* builder_recommender() { return source_.get(); }
 
-  /// Sequence number of the last delta/event the pipeline shipped.
+  /// Sequence number of the last event the pipeline shipped in a delta.
   uint64_t BuiltSeq() const { return pipeline_->built_seq(); }
 
   /// Crash-recovery test hooks, forwarded to DeltaBuilder (see there).
@@ -169,16 +147,14 @@ class ShardedService : public ServingBackend {
   }
 
  private:
-  void BuildPipeline();
-
   ShardedServiceOptions options_;
   ShardRouter router_;
-  /// Delta mode only: the single recommender the builder thread runs the
-  /// real update on. Owned here; referenced by pipeline_.
+  /// The single recommender the builder thread runs the real update on.
+  /// Owned here; referenced by pipeline_.
   std::unique_ptr<SimGraphServingRecommender> source_;
   std::vector<std::unique_ptr<RecommendationService>> shards_;
-  /// Delta mode only: the shards' recommenders, downcast once at
-  /// construction so Train can seed snapshots without dynamic_cast.
+  /// The shards' recommenders, kept typed at construction so Train can
+  /// seed snapshots without dynamic_cast.
   std::vector<DeltaApplierRecommender*> appliers_;
   /// The single-writer ingest pipeline every Publish flows through.
   std::unique_ptr<DeltaBuilder> pipeline_;

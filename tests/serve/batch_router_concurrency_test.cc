@@ -61,8 +61,7 @@ TEST(BatchRouterConcurrencyTest, PipelinedClientsAndWriterStayOrdered) {
 
   ShardedServiceOptions options;
   options.num_shards = 4;
-  ShardedService service(
-      [] { return std::make_unique<SimGraphServingRecommender>(); }, options);
+  ShardedService service(ServingSimGraphOptions{}, options);
   ASSERT_TRUE(service.Train(dataset, protocol.train_end).ok());
   service.Start();
   TcpServer server(&service);

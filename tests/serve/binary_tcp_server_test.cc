@@ -147,9 +147,8 @@ class BinaryTcpServerTest : public ::testing::Test {
     // second protocol's request must not be answered from the first's
     // cache entry (that would hide an encoding bug).
     options.shard_options.cache_ttl = -1;
-    service_ = std::make_unique<ShardedService>(
-        [] { return std::make_unique<SimGraphServingRecommender>(); },
-        options);
+    service_ =
+        std::make_unique<ShardedService>(ServingSimGraphOptions{}, options);
     ASSERT_TRUE(service_->Train(dataset_, protocol_.train_end).ok());
     service_->Start();
     server_ = std::make_unique<TcpServer>(service_.get());

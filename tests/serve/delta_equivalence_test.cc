@@ -20,11 +20,6 @@ namespace simgraph {
 namespace serve {
 namespace {
 
-std::unique_ptr<ServingRecommender> MakeReplicatedSimGraph(
-    const ServingSimGraphOptions& options) {
-  return std::make_unique<SimGraphServingRecommender>(options);
-}
-
 class DeltaEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -67,13 +62,15 @@ class DeltaEquivalenceTest : public ::testing::Test {
 // checkpoints every sampled user's answer — served by a
 // DeltaApplierRecommender shard that never ran the incremental update
 // itself — must exactly match a fresh recommender trained
-// single-threaded over the same event prefix.
+// single-threaded over the same event prefix. Each ack covers the
+// published prefix on every shard, and after Stop the service has
+// applied the whole stream.
 TEST_F(DeltaEquivalenceTest, AppliedDeltasMatchPrefixRecomputeOnEveryShard) {
   ShardedServiceOptions options;
   options.num_shards = 4;
   options.shard_options.cache_ttl = 0;
   ShardedService service(ServingSimGraphOptions{}, options);
-  ASSERT_TRUE(service.delta_shipping());
+  ASSERT_EQ(service.num_shards(), 4);
   ASSERT_NE(service.builder_recommender(), nullptr);
   ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
   service.Start();
@@ -109,8 +106,11 @@ TEST_F(DeltaEquivalenceTest, AppliedDeltasMatchPrefixRecomputeOnEveryShard) {
       sim_now.store(e.time, std::memory_order_relaxed);
       ++published;
     }
+    // The global sequence number equals the count published, exactly as
+    // on an unsharded service.
     EXPECT_EQ(seq, static_cast<uint64_t>(published));
     service.WaitForApplied(seq);
+    EXPECT_GE(service.AppliedSeq(), seq);
     for (int32_t s = 0; s < service.num_shards(); ++s) {
       EXPECT_GE(service.shard(s).AppliedSeq(), seq) << "shard " << s;
     }
@@ -132,28 +132,27 @@ TEST_F(DeltaEquivalenceTest, AppliedDeltasMatchPrefixRecomputeOnEveryShard) {
   for (std::thread& r : readers) r.join();
   EXPECT_EQ(background_failures.load(), 0);
   service.Stop();
+  EXPECT_EQ(service.AppliedSeq(), static_cast<uint64_t>(num_test_));
 }
 
 // With snapshot refreshes enabled (epoch swaps mid-stream), the
-// delta-shipping service and the legacy replicated service must stay
-// bit-identical on every shard at every checkpoint: same events, same
-// graph epochs, same scores.
-TEST_F(DeltaEquivalenceTest, DeltaAndReplicatedModesAgreeAcrossEpochSwaps) {
+// delta-shipping service must stay bit-identical to one serving
+// recommender with the same refresh cadence, fed the same event prefix
+// single-threaded: same graph epochs and edge counts, same scores on
+// every shard at every checkpoint.
+TEST_F(DeltaEquivalenceTest,
+       AppliedDeltasMatchSingleRecommenderAcrossEpochSwaps) {
   ServingSimGraphOptions simgraph_options;
   simgraph_options.snapshot_refresh_events = 16;
 
   ShardedServiceOptions options;
   options.num_shards = 3;
   options.shard_options.cache_ttl = 0;
-  ShardedService delta_service(simgraph_options, options);
-  ShardedService replicated_service(
-      [&] { return MakeReplicatedSimGraph(simgraph_options); }, options);
-  ASSERT_TRUE(delta_service.delta_shipping());
-  ASSERT_FALSE(replicated_service.delta_shipping());
-  ASSERT_TRUE(delta_service.Train(dataset_, protocol_.train_end).ok());
-  ASSERT_TRUE(replicated_service.Train(dataset_, protocol_.train_end).ok());
-  delta_service.Start();
-  replicated_service.Start();
+  ShardedService service(simgraph_options, options);
+  SimGraphServingRecommender reference(simgraph_options);
+  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
+  ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
+  service.Start();
 
   std::vector<int64_t> checkpoints;
   for (int i = 1; i <= 4; ++i) checkpoints.push_back(num_test_ * i / 4);
@@ -162,34 +161,31 @@ TEST_F(DeltaEquivalenceTest, DeltaAndReplicatedModesAgreeAcrossEpochSwaps) {
     uint64_t seq = 0;
     while (published < checkpoint) {
       const RetweetEvent& e = TestEvent(published);
-      seq = delta_service.Publish(e);
-      const uint64_t replicated_seq = replicated_service.Publish(e);
-      EXPECT_EQ(seq, replicated_seq);
+      seq = service.Publish(e);
+      reference.Observe(e);
       ++published;
     }
-    delta_service.WaitForApplied(seq);
-    replicated_service.WaitForApplied(seq);
+    EXPECT_EQ(seq, static_cast<uint64_t>(published));
+    service.WaitForApplied(seq);
 
     const Timestamp now = TestEvent(published - 1).time;
     for (const UserId user : sample_) {
-      const RecommendResponse actual =
-          delta_service.Recommend({user, now, 10});
-      const RecommendResponse expected =
-          replicated_service.Recommend({user, now, 10});
+      const RecommendResponse actual = service.Recommend({user, now, 10});
       ASSERT_TRUE(actual.status.ok());
-      ASSERT_TRUE(expected.status.ok());
-      ExpectBitIdentical(actual.tweets, expected.tweets, user);
+      ExpectBitIdentical(actual.tweets, reference.Recommend(user, now, 10),
+                         user);
     }
     // Epoch swaps shipped through deltas land on every applier shard.
-    const BackendStats delta_stats = delta_service.Stats();
-    const BackendStats replicated_stats = replicated_service.Stats();
-    EXPECT_EQ(delta_stats.graph_epoch, replicated_stats.graph_epoch);
-    EXPECT_EQ(delta_stats.graph_edges, replicated_stats.graph_edges);
+    uint64_t reference_epoch = 0;
+    int64_t reference_edges = 0;
+    ASSERT_TRUE(reference.GraphStats(&reference_epoch, &reference_edges));
+    const BackendStats stats = service.Stats();
+    EXPECT_EQ(stats.graph_epoch, reference_epoch);
+    EXPECT_EQ(stats.graph_edges, reference_edges);
   }
-  EXPECT_GT(delta_service.Stats().graph_epoch, 1u);  // swaps happened
+  EXPECT_GT(service.Stats().graph_epoch, 1u);  // swaps happened
 
-  delta_service.Stop();
-  replicated_service.Stop();
+  service.Stop();
 }
 
 // A remote replica fed only serialized bytes (the delta_observer tap,
@@ -213,9 +209,9 @@ TEST_F(DeltaEquivalenceTest, WireFedReplicaMatchesInProcessShards) {
     replica_ptr->ApplyDelta(parsed);
   };
   // Default options: snapshot_refresh_events = 0, so no epoch swap is
-  // shipped mid-stream — the wire format carries edge ops, not the
-  // in-process snapshot pointer, and this replica never rebuilds a
-  // graph of its own.
+  // shipped mid-stream — the wire format does not carry the in-process
+  // snapshot pointer, and no applier reads the edge ops it does carry,
+  // so this replica serves from the snapshot seeded below.
   ShardedService service(ServingSimGraphOptions{}, options);
   ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
   ASSERT_TRUE(replica->Train(dataset_, protocol_.train_end).ok());

@@ -43,7 +43,6 @@ TEST_F(DeltaPipelineTest, StopDrainsGlobalQueueThroughBuilder) {
   ShardedServiceOptions options;
   options.num_shards = 2;
   ShardedService service(ServingSimGraphOptions{}, options);
-  ASSERT_TRUE(service.delta_shipping());
   ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
   service.Start();
   uint64_t last_seq = 0;

@@ -36,7 +36,12 @@ class GraphImageEquivalenceTest : public ::testing::Test {
                    protocol_.panel.begin() +
                        std::min<size_t>(protocol_.panel.size(), 48));
 
-    image_path_ = ::testing::TempDir() + "/serve_equiv.sgcs";
+    // One file per test: ctest runs this fixture's tests as parallel
+    // processes, and a shared path lets one test's TearDown delete the
+    // image another is loading.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    image_path_ = ::testing::TempDir() + "/serve_equiv_" + test + ".sgcs";
     ASSERT_TRUE(
         store::WriteDigraphSnapshot(dataset_.follow_graph, image_path_).ok());
     StatusOr<std::shared_ptr<const store::GraphImage>> image =

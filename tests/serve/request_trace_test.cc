@@ -197,9 +197,9 @@ TEST(RequestTraceTest, WireRequestsExportCompleteTrees) {
 // The sharded e2e variant: the same wire workload against a 4-shard
 // ShardedService must still export one connected tree per request. The
 // router hop shows up as a request/route span under the recommend
-// request's id, and a published event's cross-thread apply stages —
-// which now run on *every* shard's applier — all join the publishing
-// request's tree.
+// request's id, and the delta a published event ships in is applied on
+// *every* shard's applier, so those cross-thread apply stages all join
+// the publishing request's tree.
 TEST(RequestTraceTest, ShardedWireRequestsExportConnectedTrees) {
   trace::SetEnabled(false);
   trace::Clear();
@@ -212,9 +212,7 @@ TEST(RequestTraceTest, ShardedWireRequestsExportConnectedTrees) {
   ShardedServiceOptions options;
   options.num_shards = 4;
   options.shard_options.cache_ttl = kSecondsPerDay;
-  ShardedService service(
-      [] { return std::make_unique<SimGraphServingRecommender>(); },
-      options);
+  ShardedService service(ServingSimGraphOptions{}, options);
   ASSERT_TRUE(service.Train(dataset, protocol.train_end).ok());
   service.Start();
   TcpServer server(&service);

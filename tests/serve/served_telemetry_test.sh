@@ -3,7 +3,9 @@
 # loopback port, issues stats / metrics / recommend commands through
 # /dev/tcp, and validates the replies — in particular that the metrics
 # command streams well-formed Prometheus text exposition ending in the
-# "# EOF" terminator, and that stats embeds the registry snapshot.
+# "# EOF" terminator, and that stats embeds the registry snapshot. A
+# last leg serves a baseline method (cf) from one unsharded service and
+# checks that baselines refuse sharding and replication.
 set -eu
 
 SERVED="$1"
@@ -26,14 +28,33 @@ mkfifo "$TMP/stdin"
 SERVED_PID=$!
 exec 9> "$TMP/stdin"   # hold the write end so stdin stays open
 
-PORT=""
-for _ in $(seq 1 100); do
-  PORT="$(sed -n 's/^listening on port \([0-9]*\)$/\1/p' "$TMP/served.out")"
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "server never reported its port" >&2; exit 1; }
-echo "port $PORT"
+wait_for_port() {
+  # Sets PORT from the "listening on port P" line of the server's stdout.
+  PORT=""
+  for _ in $(seq 1 100); do
+    PORT="$(sed -n 's/^listening on port \([0-9]*\)$/\1/p' "$1")"
+    [ -n "$PORT" ] && break
+    sleep 0.1
+  done
+  [ -n "$PORT" ] || { echo "server never reported its port" >&2; exit 1; }
+  echo "port $PORT"
+}
+
+stop_server() {
+  # Closes the server's stdin (fd 9) and waits for it to exit.
+  exec 9>&-
+  for _ in $(seq 1 100); do
+    kill -0 "$SERVED_PID" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$SERVED_PID" 2>/dev/null; then
+    echo "server did not exit on stdin EOF" >&2
+    exit 1
+  fi
+  SERVED_PID=""
+}
+
+wait_for_port "$TMP/served.out"
 
 roundtrip() {
   # One NDJSON request, one reply line.
@@ -146,15 +167,33 @@ done
 [ "$LOGGED" = "1" ] || { echo "no slow-log entries" >&2; exit 1; }
 
 echo "== clean shutdown =="
-exec 9>&-
-for _ in $(seq 1 100); do
-  kill -0 "$SERVED_PID" 2>/dev/null || break
-  sleep 0.1
+stop_server
+
+echo "== baseline method serves from one unsharded service =="
+mkfifo "$TMP/cf_stdin"
+"$SERVED" --method cf --users 200 --tweets 1500 --seed 5 --port 0 \
+  < "$TMP/cf_stdin" > "$TMP/cf.out" 2> "$TMP/cf.err" &
+SERVED_PID=$!
+exec 9> "$TMP/cf_stdin"
+wait_for_port "$TMP/cf.out"
+grep -q '^serving cf over .*, 1 shard,' "$TMP/cf.out"
+REPLY="$(roundtrip '{"op":"recommend","user":3,"now":100000,"k":5}')"
+echo "$REPLY" | grep -q '"ok":true'
+echo "$REPLY" | grep -q '"tweets":\['
+stop_server
+
+echo "== baselines refuse sharding and replication (exit 2) =="
+for extra in "--shards 2" "--replication-port 0"; do
+  RC=0
+  # shellcheck disable=SC2086  # $extra is a flag and its value
+  "$SERVED" --method cf --users 200 --tweets 1500 --seed 5 $extra \
+    < /dev/null > "$TMP/refused.out" 2> "$TMP/refused.err" || RC=$?
+  if [ "$RC" != "2" ]; then
+    echo "--method cf $extra exited $RC, want 2" >&2
+    cat "$TMP/refused.err" >&2
+    exit 1
+  fi
+  grep -q 'requires --method simgraph' "$TMP/refused.err"
 done
-if kill -0 "$SERVED_PID" 2>/dev/null; then
-  echo "server did not exit on stdin EOF" >&2
-  exit 1
-fi
-SERVED_PID=""
 
 echo "served_telemetry_test: OK"

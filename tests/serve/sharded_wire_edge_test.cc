@@ -91,9 +91,8 @@ class ShardedWireEdgeTest : public ::testing::Test {
 
     ShardedServiceOptions options;
     options.num_shards = 2;
-    service_ = std::make_unique<ShardedService>(
-        [] { return std::make_unique<SimGraphServingRecommender>(); },
-        options);
+    service_ =
+        std::make_unique<ShardedService>(ServingSimGraphOptions{}, options);
     ASSERT_TRUE(service_->Train(dataset_, protocol_.train_end).ok());
     service_->Start();
     server_ = std::make_unique<TcpServer>(service_.get());

@@ -54,8 +54,7 @@ void ExpectExactlyOnceInOrder(const std::vector<Item>& popped,
   }
 }
 
-// Replicated fan-out (the ShardedService ingestion shape): every
-// producer pushes every item to every queue.
+// Broadcast fan-out: every producer pushes every item to every queue.
 TEST(MpmcMultiQueueTest, FanOutDeliversExactlyOnceInOrderPerQueue) {
   auto queues = MakeQueues();
 

@@ -11,15 +11,17 @@
 //   simgraph_served [--data DIR | --users N --tweets N --seed S]
 //                   [--train F]          train fraction (default 0.9)
 //                   [--port P]           0 picks an ephemeral port (default)
-//                   [--method M]         simgraph | cf | bayes | graphjet
-//                   [--shards N]         per-core service shards behind the
-//                                        hash router (default 1; see
-//                                        docs/serving.md "Sharded serving")
-//                   [--ingest MODE]      delta | replicated. simgraph
-//                                        defaults to delta-shipping ingest
+//                   [--method M]         simgraph | cf | bayes | graphjet.
+//                                        simgraph serves through the
+//                                        delta-shipping ingest pipeline
 //                                        (one builder, delta-applying
-//                                        shards; docs/ingest.md); other
-//                                        methods always replicate.
+//                                        shards; docs/ingest.md); the
+//                                        baselines serve from one unsharded
+//                                        RecommendationService
+//                   [--shards N]         per-core service shards behind the
+//                                        hash router (default 1; simgraph
+//                                        only; see docs/serving.md
+//                                        "Sharded serving")
 //                   [--ttl SECONDS]      result-cache TTL in simulated
 //                                        seconds; -1 disables the cache
 //                                        (default 86400)
@@ -50,7 +52,7 @@
 //                   [--replication-port P] accept remote shard replicas
 //                                        (tools/simgraph_shard_server) on
 //                                        this SGRP port; 0 picks ephemeral.
-//                                        Requires simgraph + delta ingest
+//                                        Requires --method simgraph
 //                                        (docs/replication.md)
 //                   [--replication-image PATH] write the follow graph as an
 //                                        SGCS image to PATH and serve it to
@@ -116,14 +118,13 @@ std::string FlagString(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
-std::unique_ptr<serve::ServingRecommender> MakeRecommender(
-    const std::string& method, int64_t refresh_events) {
-  if (method == "simgraph") {
-    serve::ServingSimGraphOptions options;
-    options.snapshot_refresh_events = refresh_events;
-    return std::make_unique<serve::SimGraphServingRecommender>(options);
+// The paper's baselines, served through the generic adapter; null for
+// an unknown method (and for simgraph, which has its own service).
+std::unique_ptr<serve::ServingRecommender> MakeBaseline(
+    const std::string& method) {
+  if (method == "cf") {
+    return serve::WrapForServing(std::make_unique<CfRecommender>());
   }
-  if (method == "cf") return serve::WrapForServing(std::make_unique<CfRecommender>());
   if (method == "bayes") {
     return serve::WrapForServing(std::make_unique<BayesRecommender>());
   }
@@ -181,15 +182,11 @@ int Run(int argc, char** argv) {
   const int64_t train_end = dataset.SplitIndex(train_fraction);
 
   const std::string method = FlagString(flags, "method", "simgraph");
-  const int64_t refresh_events = FlagInt(flags, "refresh-events", 0);
-  if (MakeRecommender(method, refresh_events) == nullptr) {
+  const bool simgraph = method == "simgraph";
+  std::unique_ptr<serve::ServingRecommender> baseline = MakeBaseline(method);
+  if (!simgraph && baseline == nullptr) {
     std::cerr << "unknown --method " << method
               << " (want simgraph|cf|bayes|graphjet)\n";
-    return 2;
-  }
-  const std::string ingest = FlagString(flags, "ingest", "delta");
-  if (ingest != "delta" && ingest != "replicated") {
-    std::cerr << "unknown --ingest " << ingest << " (want delta|replicated)\n";
     return 2;
   }
 
@@ -197,6 +194,11 @@ int Run(int argc, char** argv) {
   options.num_shards = static_cast<int32_t>(FlagInt(flags, "shards", 1));
   if (options.num_shards < 1) {
     std::cerr << "--shards must be >= 1\n";
+    return 2;
+  }
+  if (!simgraph && options.num_shards > 1) {
+    std::cerr << "--shards > 1 requires --method simgraph "
+                 "(docs/serving.md)\n";
     return 2;
   }
   options.shard_options.cache_ttl = FlagInt(flags, "ttl", kSecondsPerDay);
@@ -207,9 +209,9 @@ int Run(int argc, char** argv) {
 
   std::unique_ptr<serve::ReplicationFanout> fanout;
   if (flags.count("replication-port") > 0) {
-    if (method != "simgraph" || ingest != "delta") {
+    if (!simgraph) {
       std::cerr << "--replication-port requires --method simgraph "
-                   "--ingest delta (docs/replication.md)\n";
+                   "(docs/replication.md)\n";
       return 2;
     }
     serve::ReplicationFanoutOptions fanout_options;
@@ -233,19 +235,27 @@ int Run(int argc, char** argv) {
     options.replication = fanout.get();
   }
 
-  std::unique_ptr<serve::ShardedService> service;
-  if (method == "simgraph" && ingest == "delta") {
-    // Delta-shipping ingest: one builder recommender, cheap
-    // delta-applying shards (docs/ingest.md).
+  // SimGraph runs the delta-shipping pipeline: one builder recommender,
+  // cheap delta-applying shards (docs/ingest.md). A baseline has no
+  // delta form, so it serves from one unsharded RecommendationService.
+  std::unique_ptr<serve::ShardedService> sharded;
+  std::unique_ptr<serve::RecommendationService> single;
+  serve::ServingBackend* service = nullptr;
+  Status trained;
+  if (simgraph) {
     serve::ServingSimGraphOptions simgraph_options;
-    simgraph_options.snapshot_refresh_events = refresh_events;
-    service = std::make_unique<serve::ShardedService>(simgraph_options,
+    simgraph_options.snapshot_refresh_events =
+        FlagInt(flags, "refresh-events", 0);
+    sharded = std::make_unique<serve::ShardedService>(simgraph_options,
                                                       options);
+    trained = sharded->Train(dataset, train_end);
+    service = sharded.get();
   } else {
-    service = std::make_unique<serve::ShardedService>(
-        [&] { return MakeRecommender(method, refresh_events); }, options);
+    single = std::make_unique<serve::RecommendationService>(
+        std::move(baseline), options.shard_options);
+    trained = single->Train(dataset, train_end);
+    service = single.get();
   }
-  const Status trained = service->Train(dataset, train_end);
   if (!trained.ok()) {
     std::cerr << trained.ToString() << "\n";
     return 1;
@@ -259,7 +269,11 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  service->Start();
+  if (sharded != nullptr) {
+    sharded->Start();
+  } else {
+    single->Start();
+  }
 
   std::unique_ptr<serve::WindowTelemetryPublisher> publisher;
   std::unique_ptr<timeseries::TimeseriesRecorder> recorder;
@@ -268,14 +282,14 @@ int Run(int argc, char** argv) {
     telemetry_options.p99_spike_multiplier =
         FlagDouble(flags, "p99-spike-mult", 4.0);
     publisher = std::make_unique<serve::WindowTelemetryPublisher>(
-        service.get(), telemetry_options);
+        service, telemetry_options);
     recorder = std::make_unique<timeseries::TimeseriesRecorder>(
         publisher->RecorderOptions(stats_window_ms,
                                    FlagString(flags, "stats-window-ndjson")));
     recorder->Start();
   }
 
-  serve::TcpServer server(service.get());
+  serve::TcpServer server(service);
   if (recorder != nullptr) server.set_timeseries_recorder(recorder.get());
   const Status started =
       server.Start(static_cast<uint16_t>(FlagInt(flags, "port", 0)));
@@ -283,10 +297,10 @@ int Run(int argc, char** argv) {
     std::cerr << started.ToString() << "\n";
     return 1;
   }
+  const int32_t num_shards = sharded != nullptr ? sharded->num_shards() : 1;
   std::cout << "serving " << method << " over " << dataset.num_users()
-            << " users (" << train_end << " train events, "
-            << service->num_shards() << " shard"
-            << (service->num_shards() == 1 ? "" : "s")
+            << " users (" << train_end << " train events, " << num_shards
+            << " shard" << (num_shards == 1 ? "" : "s")
             << ", NDJSON + SGRQ binary)\n"
             << "listening on port " << server.port() << std::endl;
   if (fanout != nullptr) {
@@ -303,7 +317,11 @@ int Run(int argc, char** argv) {
   // then answers their final acks before closing. The fanout goes last:
   // its BYE tells replicas the builder is done, after every buffered
   // delta was shipped.
-  service->Stop();
+  if (sharded != nullptr) {
+    sharded->Stop();
+  } else {
+    single->Stop();
+  }
   server.Stop();
   if (fanout != nullptr) fanout->Stop();
   if (recorder != nullptr) {
