@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -43,6 +44,91 @@ class ShardedServiceTest : public ::testing::Test {
   EvalProtocol protocol_;
   std::vector<UserId> sample_;
 };
+
+// The sharded counterpart of the service anchor test: while reader
+// threads hammer Recommend (landing on all four shards), the test
+// stream is published through the sharded front door; at several
+// checkpoints it waits for the ack and asserts that every user's answer
+// — whichever shard owns them — exactly matches a fresh recommender
+// trained single-threaded over the same event prefix. This is what the
+// lockstep fan-out must guarantee.
+TEST_F(ShardedServiceTest, ReadsAfterAckMatchPrefixRecomputeOnEveryShard) {
+  ShardedServiceOptions options;
+  options.num_shards = 4;
+  options.shard_options.cache_ttl = 0;
+  ShardedService service(ServingSimGraphOptions{}, options);
+  ASSERT_EQ(service.num_shards(), 4);
+  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
+  service.Start();
+
+  const int64_t num_test = dataset_.num_retweets() - protocol_.train_end;
+  ASSERT_GT(num_test, 10);
+  std::vector<int64_t> checkpoints;
+  for (int i = 1; i <= 3; ++i) checkpoints.push_back(num_test * i / 3);
+
+  std::atomic<Timestamp> sim_now{protocol_.split_time};
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> background_failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t x = 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(t);
+      while (!done.load()) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const UserId user = sample_[x % sample_.size()];
+        const RecommendResponse response = service.Recommend(
+            {user, sim_now.load(std::memory_order_relaxed), 10});
+        if (!response.status.ok()) background_failures.fetch_add(1);
+      }
+    });
+  }
+
+  int64_t published = 0;
+  for (const int64_t checkpoint : checkpoints) {
+    uint64_t seq = 0;
+    while (published < checkpoint) {
+      const RetweetEvent& e =
+          dataset_.retweets[static_cast<size_t>(protocol_.train_end +
+                                                published)];
+      seq = service.Publish(e);
+      sim_now.store(e.time, std::memory_order_relaxed);
+      ++published;
+    }
+    // Lockstep: the global sequence number equals the count published,
+    // exactly as on an unsharded service.
+    EXPECT_EQ(seq, static_cast<uint64_t>(published));
+    service.WaitForApplied(seq);
+    EXPECT_GE(service.AppliedSeq(), seq);
+    // ...and every shard individually reached it.
+    for (int32_t s = 0; s < service.num_shards(); ++s) {
+      EXPECT_GE(service.shard(s).AppliedSeq(), seq) << "shard " << s;
+    }
+
+    SimGraphRecommender reference;
+    ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
+    for (int64_t i = 0; i < published; ++i) {
+      reference.Observe(dataset_.retweets[static_cast<size_t>(
+          protocol_.train_end + i)]);
+    }
+    const Timestamp now = sim_now.load();
+    for (const UserId user : sample_) {
+      const RecommendResponse response =
+          service.Recommend({user, now, 10});
+      ASSERT_TRUE(response.status.ok());
+      EXPECT_FALSE(response.degraded);
+      ExpectSameLists(response.tweets, reference.Recommend(user, now, 10),
+                      user);
+    }
+  }
+
+  done.store(true);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(background_failures.load(), 0);
+  service.Stop();
+  EXPECT_EQ(service.AppliedSeq(), static_cast<uint64_t>(num_test));
+}
 
 // Requests land only on the owning shard: with long-TTL caching, each
 // queried user's cache entry must appear on exactly the shard the
