@@ -208,4 +208,30 @@ Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
   return Status::Ok();
 }
 
+Status SimGraphDelta::ValidateIds(int32_t num_users,
+                                  int64_t num_tweets) const {
+  const auto bad_user = [num_users](UserId user) {
+    return user < 0 || user >= num_users;
+  };
+  const auto bad_tweet = [num_tweets](TweetId tweet) {
+    return tweet < 0 || tweet >= num_tweets;
+  };
+  for (const Deposit& op : deposits) {
+    if (bad_user(op.user) || bad_tweet(op.tweet)) {
+      return Status::InvalidArgument("delta deposit id out of range");
+    }
+  }
+  for (const Consume& op : consumed) {
+    if (bad_user(op.user) || bad_tweet(op.tweet)) {
+      return Status::InvalidArgument("delta consumed id out of range");
+    }
+  }
+  for (const UserId user : invalidated) {
+    if (bad_user(user)) {
+      return Status::InvalidArgument("delta invalidated user out of range");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace simgraph

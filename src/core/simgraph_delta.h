@@ -132,6 +132,14 @@ struct SimGraphDelta {
   /// unknown version or flags, truncated sections, and trailing bytes.
   /// `out` is cleared first; `snapshot` is always null after parsing.
   static Status Parse(std::string_view bytes, SimGraphDelta* out);
+
+  /// Checks every id an applier indexes by — deposit and consumed users
+  /// and tweets, invalidated users — against a population of `num_users`
+  /// and a catalogue of `num_tweets`. Parse vets only the framing; a
+  /// replica runs this on each delta read off the wire, because an id
+  /// out of range would index its per-user state out of bounds. Edge
+  /// ops are not checked: no applier reads them.
+  Status ValidateIds(int32_t num_users, int64_t num_tweets) const;
 };
 
 }  // namespace simgraph

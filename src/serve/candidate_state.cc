@@ -15,11 +15,6 @@ namespace {
 /// the steady_clock overhead off the per-candidate fast path.
 constexpr int64_t kDeadlineCheckStride = 128;
 
-bool Better(const ScoredTweet& a, const ScoredTweet& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.tweet < b.tweet;
-}
-
 }  // namespace
 
 Status CandidateState::Init(const Dataset& dataset, int64_t train_end,
@@ -116,28 +111,22 @@ RecommendOutcome CandidateState::ScanTopK(
     lock.lock();
   }
   SIMGRAPH_TRACE_SPAN("request/candidate_scoring", "serve");
-  const auto& raw = store_->CandidatesOf(user);
   std::vector<ScoredTweet> fresh;
-  fresh.reserve(std::min<size_t>(raw.size(), 1024));
   int64_t scanned = 0;
-  for (const auto& [tweet, score] : raw) {
-    if (scanned++ % kDeadlineCheckStride == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      outcome.complete = false;
-      break;
-    }
-    if (score > 0.0 && store_->IsFresh(tweet, now) &&
-        store_->TweetTime(tweet) <= now) {
-      fresh.push_back(ScoredTweet{tweet, score});
-    }
-  }
+  outcome.complete =
+      store_->ForEachCandidate(user, [&](TweetId tweet, double score) {
+        if (scanned++ % kDeadlineCheckStride == 0 &&
+            std::chrono::steady_clock::now() >= deadline) {
+          return false;
+        }
+        if (score > 0.0 && store_->IsFresh(tweet, now) &&
+            store_->TweetTime(tweet) <= now) {
+          fresh.push_back(ScoredTweet{tweet, score});
+        }
+        return true;
+      });
   lock.unlock();
-  if (static_cast<int64_t>(fresh.size()) > k) {
-    std::partial_sort(fresh.begin(), fresh.begin() + k, fresh.end(), Better);
-    fresh.resize(static_cast<size_t>(k));
-  } else {
-    std::sort(fresh.begin(), fresh.end(), Better);
-  }
+  KeepTopK(&fresh, k);
   outcome.tweets = std::move(fresh);
   return outcome;
 }

@@ -22,6 +22,9 @@ namespace serve {
 /// the exact mutation semantics — replicas applying the same ordered
 /// ops stay bit-identical) with the full builder recommender.
 ///
+/// The state itself is a CandidateStore: one flat open-addressing table
+/// per user, where a consumed tweet is a slot holding -inf.
+///
 /// Threading model: one ingest thread calls the mutators; any number of
 /// reader threads call ScanTopK concurrently. A user's state is guarded
 /// by the stripe lock of their id, taken exclusively for writes and
@@ -62,7 +65,9 @@ class CandidateState {
   void ReplayDeltaOps(const SimGraphDelta& delta);
 
   /// Deadline-aware top-k scan over the user's fresh, unconsumed
-  /// candidates; best first, ties broken by tweet id.
+  /// candidates; best first, ties broken by tweet id. The table walk
+  /// checks the clock every 128 candidates and stops at the deadline,
+  /// returning what it found with `complete` false.
   RecommendOutcome ScanTopK(UserId user, Timestamp now, int32_t k,
                             std::chrono::steady_clock::time_point deadline)
       const;

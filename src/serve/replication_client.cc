@@ -139,7 +139,8 @@ void ReplicationClient::PumpLoop() {
     switch (type) {
       case ReplicationFrameType::kDelta: {
         auto delta = std::make_shared<SimGraphDelta>();
-        const Status parsed = SimGraphDelta::Parse(payload, delta.get());
+        Status parsed = SimGraphDelta::Parse(payload, delta.get());
+        if (parsed.ok()) parsed = service_->ValidateDelta(*delta);
         if (!parsed.ok()) {
           Finish(parsed);
           return;

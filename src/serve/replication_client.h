@@ -53,7 +53,9 @@ struct ReplicationBootstrap {
 /// attach the live RecommendationService and begin pumping deltas.
 ///
 /// Start runs two threads:
-///   * the pump reads DELTA frames, parses each SGDL payload, and
+///   * the pump reads DELTA frames, parses each SGDL payload, checks
+///     its ids against the trained service (an id out of range ends the
+///     session with InvalidArgument before any op is applied), and
 ///     enqueues it on the service via PublishItem with the builder's
 ///     sequence number — exactly the path an in-process shard queue
 ///     feeds, so replay is bit-identical by construction;

@@ -85,10 +85,16 @@ void ReplicationFanout::ShipDelta(const SimGraphDelta& delta) {
   const uint64_t prev_built = built_seq_.load();
   if (delta.seq_end > prev_built) built_seq_.store(delta.seq_end);
   log_.push_back(LogEntry{delta.seq_begin, delta.seq_end, framed});
+  log_bytes_ += static_cast<int64_t>(framed->size());
   while (static_cast<int64_t>(log_.size()) > options_.delta_log_capacity) {
     trimmed_through_seq_ = log_.front().seq_end;
+    log_bytes_ -= static_cast<int64_t>(log_.front().framed->size());
     log_.pop_front();
   }
+  SIMGRAPH_GAUGE_SET("serve.replication.log_bytes",
+                     static_cast<double>(log_bytes_));
+  SIMGRAPH_GAUGE_SET("serve.replication.log_deltas",
+                     static_cast<double>(log_.size()));
   const uint64_t built = built_seq_.load();
   const auto now = std::chrono::steady_clock::now();
   for (const auto& replica : replicas_) {

@@ -200,6 +200,8 @@ class ReplicationFanout {
   std::condition_variable ack_cv_;
   std::vector<std::shared_ptr<Replica>> replicas_;
   std::deque<LogEntry> log_;
+  /// Framed bytes held by log_ (the serve.replication.log_bytes gauge).
+  int64_t log_bytes_ = 0;
   /// seq_end of the newest delta trimmed out of log_ (0 = nothing
   /// trimmed): a HELLO.applied_seq below this is a bootstrap gap.
   uint64_t trimmed_through_seq_ = 0;

@@ -36,6 +36,7 @@ Status RecommendationService::Train(const Dataset& dataset,
                                     int64_t train_end) {
   SIMGRAPH_RETURN_IF_ERROR(recommender_->Train(dataset, train_end));
   num_users_ = dataset.num_users();
+  num_tweets_ = static_cast<int64_t>(dataset.tweets.size());
   if (options_.cache_ttl >= 0) {
     cache_ = std::make_unique<ResultCache>(num_users_, options_.cache_ttl,
                                            options_.cache_stripes);
@@ -92,6 +93,11 @@ uint64_t RecommendationService::PublishItem(IngestItem item) {
     shard_queue_depth_max_->Set(depth_max);
   }
   return *ticket + 1;  // tickets are 0-based, sequence numbers 1-based
+}
+
+Status RecommendationService::ValidateDelta(
+    const SimGraphDelta& delta) const {
+  return delta.ValidateIds(num_users_, num_tweets_);
 }
 
 uint64_t RecommendationService::AppliedSeq() const {

@@ -125,6 +125,12 @@ class RecommendationService : public ServingBackend {
   /// when stopped. Direct API users want Publish.
   uint64_t PublishItem(IngestItem item);
 
+  /// Checks a delta read off the wire against the trained population
+  /// and catalogue (SimGraphDelta::ValidateIds). A replica calls it
+  /// before PublishItem, so a bad id ends its session instead of
+  /// corrupting its state.
+  Status ValidateDelta(const SimGraphDelta& delta) const;
+
   /// Sequence number of the last applied event (0 before any).
   uint64_t AppliedSeq() const override;
 
@@ -173,6 +179,7 @@ class RecommendationService : public ServingBackend {
   ServiceOptions options_;
   std::unique_ptr<ResultCache> cache_;
   int32_t num_users_ = 0;
+  int64_t num_tweets_ = 0;
 
   /// Per-shard labelled metrics (null unless options_.shard >= 0).
   metrics::Counter* shard_requests_ = nullptr;

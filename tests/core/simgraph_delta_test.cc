@@ -146,6 +146,33 @@ TEST(SimGraphDeltaTest, ParseRejectsCorruptInput) {
   EXPECT_FALSE(SimGraphDelta::Parse(bad, &parsed).ok());
 }
 
+TEST(SimGraphDeltaTest, ValidateIdsRejectsEveryOutOfRangeId) {
+  // MakeSample's largest user is 8 and largest tweet 102.
+  EXPECT_TRUE(MakeSample().ValidateIds(9, 103).ok());
+  EXPECT_FALSE(MakeSample().ValidateIds(8, 103).ok());
+  EXPECT_FALSE(MakeSample().ValidateIds(9, 102).ok());
+
+  SimGraphDelta bad = MakeSample();
+  bad.deposits.push_back({9, 100, 0.5});
+  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  bad = MakeSample();
+  bad.deposits.push_back({5, -1, 0.5});
+  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  bad = MakeSample();
+  bad.consumed.push_back({-1, 100});
+  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  bad = MakeSample();
+  bad.consumed.push_back({5, 103});
+  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  bad = MakeSample();
+  bad.invalidated.push_back(9);
+  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  // Edge ops are never replayed, so they are not vetted.
+  bad = MakeSample();
+  bad.edge_upserts.push_back({100, 200, 0.5});
+  EXPECT_TRUE(bad.ValidateIds(9, 103).ok());
+}
+
 // The recorded edge ops are a faithful oplog of the incremental update:
 // replaying them in order against a replica of the pre-stream adjacency
 // reproduces the post-stream graph exactly, event by event.

@@ -83,6 +83,21 @@ TEST(IntegrationTest, SimGraphScoresHits) {
   EXPECT_GE(r.simgraph.hits_total, r.bayes.hits_total);
 }
 
+// The paper's quality at this fixed seed is deterministic, so it is
+// pinned exactly: a change to any layer that moves a hit shows up here.
+// The values were measured at the commit before the flat candidate
+// tables replaced the node-based candidate store, and that change kept
+// them bit-identical.
+TEST(IntegrationTest, QualityIsPinnedAtFixedSeed) {
+  const PipelineResult& r = Shared();
+  EXPECT_EQ(r.simgraph.hits_total, 59);
+  EXPECT_EQ(r.simgraph.f1, 0.011048689138576779);
+  EXPECT_EQ(r.cf.hits_total, 50);
+  EXPECT_EQ(r.cf.f1, 0.013236267372600927);
+  EXPECT_EQ(r.bayes.hits_total, 41);
+  EXPECT_EQ(r.bayes.f1, 0.0066017228886563082);
+}
+
 TEST(IntegrationTest, HitsDecomposeByClass) {
   for (const EvalResult* r :
        {&Shared().simgraph, &Shared().cf, &Shared().bayes,

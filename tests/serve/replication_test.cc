@@ -24,6 +24,7 @@
 #include "serve/sharded_service.h"
 #include "store/graph_image.h"
 #include "store/snapshot_writer.h"
+#include "util/metrics.h"
 #include "util/net.h"
 
 namespace simgraph {
@@ -215,14 +216,14 @@ class ReplicationTest : public ::testing::Test {
     return dataset_.retweets[static_cast<size_t>(protocol_.train_end + i)];
   }
 
-  /// Connects, trains, and starts one remote replica against `fanout`'s
-  /// port. `applied_seq` is the HELLO resume position.
-  void StartRemote(const ReplicationFanout& fanout, RemoteReplica* remote,
+  /// Connects, trains, and starts one remote replica against the builder
+  /// at `port`. `applied_seq` is the HELLO resume position.
+  void StartRemote(uint16_t port, RemoteReplica* remote,
                    const std::string& name, uint64_t applied_seq = 0,
                    bool want_snapshot = false,
                    const std::string& snapshot_save_path = "") {
     ReplicationClientOptions client_options;
-    client_options.port = fanout.port();
+    client_options.port = port;
     client_options.name = name;
     client_options.want_snapshot = want_snapshot;
     client_options.snapshot_save_path = snapshot_save_path;
@@ -305,7 +306,7 @@ TEST_F(ReplicationTest, SocketFedReplicaMatchesShardsAcrossEpochSwaps) {
   service.Start();
 
   RemoteReplica remote;
-  StartRemote(fanout, &remote, "epoch-swap-replica");
+  StartRemote(fanout.port(), &remote, "epoch-swap-replica");
   ASSERT_TRUE(fanout.WaitForReplicas(1, std::chrono::milliseconds(5000)));
 
   std::vector<int64_t> checkpoints;
@@ -369,7 +370,7 @@ TEST_F(ReplicationTest, LateJoinerBootstrapsSnapshotAndBacklog) {
   service.WaitForApplied(seq);
 
   RemoteReplica remote;
-  StartRemote(fanout, &remote, "late-joiner", /*applied_seq=*/0,
+  StartRemote(fanout.port(), &remote, "late-joiner", /*applied_seq=*/0,
               /*want_snapshot=*/true, fetched_path);
   EXPECT_TRUE(remote.bootstrap.snapshot_received);
   EXPECT_EQ(ReadFileBytes(fetched_path), ReadFileBytes(image_path));
@@ -407,7 +408,7 @@ TEST_F(ReplicationTest, KillAndRejoinConverges) {
   service.Start();
 
   RemoteReplica remote;
-  StartRemote(fanout, &remote, "doomed");
+  StartRemote(fanout.port(), &remote, "doomed");
   ASSERT_TRUE(fanout.WaitForReplicas(1, std::chrono::milliseconds(5000)));
 
   const int64_t third = num_test_ / 3;
@@ -549,7 +550,7 @@ TEST_F(ReplicationTest, IdlePublishGapDoesNotTripAckStallBackstop) {
   service.Start();
 
   RemoteReplica remote;
-  StartRemote(fanout, &remote, "patient");
+  StartRemote(fanout.port(), &remote, "patient");
   ASSERT_TRUE(fanout.WaitForReplicas(1, std::chrono::milliseconds(5000)));
 
   const int64_t half = num_test_ / 2;
@@ -604,7 +605,7 @@ TEST_F(ReplicationTest, LateJoinerBacklogBeyondLagCutoffStillDrains) {
   // few live deltas ship while the backlog is still draining — the
   // cutoff must not fire on either.
   RemoteReplica remote;
-  StartRemote(fanout, &remote, "far-behind");
+  StartRemote(fanout.port(), &remote, "far-behind");
   for (int64_t i = half; i < half + fanout_options.max_lag_events; ++i) {
     seq = service.Publish(TestEvent(i));
   }
@@ -623,6 +624,8 @@ TEST_F(ReplicationTest, LateJoinerBacklogBeyondLagCutoffStillDrains) {
 // A replica whose resume position predates the retained delta log is
 // told to bootstrap from a snapshot instead of silently diverging.
 TEST_F(ReplicationTest, BootstrapGapIsRejected) {
+  metrics::SetEnabled(true);
+  metrics::Registry::Global().Reset();
   ReplicationFanoutOptions fanout_options;
   fanout_options.delta_log_capacity = 2;  // force trimming immediately
   ReplicationFanout fanout(fanout_options);
@@ -639,6 +642,14 @@ TEST_F(ReplicationTest, BootstrapGapIsRejected) {
   uint64_t seq = 0;
   for (int64_t i = 0; i < 16; ++i) seq = service.Publish(TestEvent(i));
   service.WaitForApplied(seq);
+  // The retained log is observable: trimmed to its capacity, and its
+  // byte gauge follows the trim.
+  metrics::Registry& registry = metrics::Registry::Global();
+  EXPECT_EQ(registry.gauge("serve.replication.log_deltas").value(), 2.0);
+  const double log_bytes =
+      registry.gauge("serve.replication.log_bytes").value();
+  EXPECT_GT(log_bytes, 0.0);
+  metrics::SetEnabled(false);
 
   ReplicationClientOptions client_options;
   client_options.port = fanout.port();
@@ -767,6 +778,86 @@ TEST_F(ReplicationTest, FinishedSessionsAreReaped) {
   EXPECT_LE(sessions, 2) << "finished sessions were not reaped";
 
   fanout.Stop();
+}
+
+// A builder that ships an id outside the replica's trained population
+// ends the session with InvalidArgument before any op of that delta is
+// replayed: the replica goes degraded and keeps the answers it had,
+// never a wrong one.
+TEST_F(ReplicationTest, OutOfRangeDeltaIdEndsTheSession) {
+  uint16_t port = 0;
+  StatusOr<int> listener = net::ListenLoopback(0, &port);
+  ASSERT_TRUE(listener.ok());
+  // A fake builder that only answers the handshake.
+  int builder = -1;
+  std::thread handshake([&] {
+    builder = ::accept(*listener, nullptr, nullptr);
+    ReplicationFrameType type;
+    std::string payload;
+    if (builder < 0 ||
+        !ReadReplicationFrame(builder, &type, &payload).ok()) {
+      return;
+    }
+    std::string ack;
+    ReplicaHelloAck{}.SerializeTo(&ack);
+    (void)WriteReplicationFrame(builder, ReplicationFrameType::kHelloAck,
+                                ack);
+  });
+  RemoteReplica remote;
+  StartRemote(port, &remote, "victim");
+  handshake.join();
+  ASSERT_GE(builder, 0);
+
+  const TweetId tweet = TestEvent(num_test_ - 1).tweet;
+  const Timestamp now =
+      dataset_.tweets[static_cast<size_t>(tweet)].time + 1;
+  std::vector<UserId> sorted_sample = sample_;
+  std::sort(sorted_sample.begin(), sorted_sample.end());
+  const auto ship = [&](const SimGraphDelta& delta) {
+    std::string payload;
+    delta.SerializeTo(&payload);
+    ASSERT_TRUE(
+        WriteReplicationFrame(builder, ReplicationFrameType::kDelta, payload)
+            .ok());
+  };
+  SimGraphDelta good;
+  good.seq_begin = good.seq_end = 1;
+  for (const UserId user : sorted_sample) {
+    good.deposits.push_back({user, tweet, 0.5});
+  }
+  good.invalidated = sorted_sample;
+  ship(good);
+  remote.service->WaitForApplied(1);
+  std::vector<std::vector<ScoredTweet>> before;
+  bool any = false;
+  for (const UserId user : sample_) {
+    before.push_back(remote.service->Recommend({user, now, 10}).tweets);
+    any = any || !before.back().empty();
+  }
+  ASSERT_TRUE(any);
+
+  // Valid ops first, then one deposit for user == num_users.
+  SimGraphDelta hostile;
+  hostile.seq_begin = hostile.seq_end = 2;
+  hostile.deposits.push_back({sample_[0], tweet, 0.9});
+  hostile.deposits.push_back({dataset_.num_users(), tweet, 0.5});
+  hostile.invalidated = {sample_[0]};
+  ship(hostile);
+  remote.client->WaitUntilClosed();
+  EXPECT_EQ(remote.client->session_status().code(),
+            StatusCode::kInvalidArgument)
+      << remote.client->session_status().ToString();
+  EXPECT_EQ(remote.service->AppliedSeq(), 1u);
+  for (size_t i = 0; i < sample_.size(); ++i) {
+    const RecommendResponse after =
+        remote.service->Recommend({sample_[i], now, 10});
+    ASSERT_TRUE(after.status.ok());
+    ExpectBitIdentical(after.tweets, before[i], sample_[i]);
+  }
+
+  remote.Shutdown();
+  ::close(builder);
+  ::close(*listener);
 }
 
 // A peer that accepts the connection but never answers the handshake
