@@ -18,9 +18,7 @@ namespace simgraph {
 namespace serve {
 
 ReplicationFanout::ReplicationFanout(ReplicationFanoutOptions options)
-    : options_(std::move(options)),
-      snapshot_path_(options_.snapshot_path),
-      snapshot_seq_(options_.snapshot_seq) {
+    : options_(std::move(options)) {
   SIMGRAPH_CHECK_GT(options_.max_lag_events, 0);
   SIMGRAPH_CHECK_GT(options_.delta_log_capacity, 0);
 }
@@ -65,14 +63,6 @@ void ReplicationFanout::SeedGraphStats(uint64_t epoch, int64_t edges) {
   std::lock_guard<std::mutex> lock(mu_);
   seed_graph_epoch_ = epoch;
   seed_graph_edges_ = edges;
-}
-
-void ReplicationFanout::UpdateSnapshot(const std::string& path,
-                                       uint64_t seq) {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_path_ = path;
-  snapshot_seq_ = seq;
-  snapshot_cache_ = nullptr;
 }
 
 void ReplicationFanout::ShipDelta(const SimGraphDelta& delta) {
@@ -245,13 +235,11 @@ void ReplicationFanout::RunSession(int fd) {
   }
   net::SetRecvTimeout(fd, 0);
 
-  // Pin the bootstrap image before registering: the resume position
-  // derived from it and the bytes shipped later must come from the same
-  // image generation even if UpdateSnapshot runs concurrently. An
-  // offered-but-unreadable image is a handshake reject, not a
-  // mid-session surprise.
-  std::shared_ptr<const SnapshotImage> snap;
-  if (hello.want_snapshot && SnapshotOffered()) {
+  // Load the bootstrap image before registering: an offered-but-
+  // unreadable image is a handshake reject, not a mid-session surprise.
+  const bool snapshot_offered = !options_.snapshot_path.empty();
+  std::shared_ptr<const std::string> snap;
+  if (hello.want_snapshot && snapshot_offered) {
     snap = Snapshot();
     if (snap == nullptr) {
       SIMGRAPH_COUNTER_ADD("serve.replication.handshake_rejects", 1);
@@ -261,11 +249,9 @@ void ReplicationFanout::RunSession(int fd) {
       return;
     }
   }
-  // A snapshot bootstrapper restarts from the image, so it resumes at
-  // the sequence the image covers, not at its HELLO position.
-  const uint64_t resume_seq =
-      snap != nullptr ? std::max(hello.applied_seq, snap->seq)
-                      : hello.applied_seq;
+  // The image is seq-0 state, so every joiner resumes at its HELLO
+  // position.
+  const uint64_t resume_seq = hello.applied_seq;
 
   auto replica = std::make_shared<Replica>();
   replica->fd = fd;
@@ -279,27 +265,22 @@ void ReplicationFanout::RunSession(int fd) {
       return;
     }
     if (trimmed_through_seq_ > resume_seq) {
-      // The retained log no longer covers this replica's position. Be
-      // honest about whether a retry can succeed: a snapshot bootstrap
-      // only helps if the offered image covers the trimmed prefix.
+      // The retained log no longer covers this replica's position, and
+      // no retry can succeed: a snapshot bootstrap resumes from seq 0,
+      // which the log has outrun as well.
       SIMGRAPH_COUNTER_ADD("serve.replication.handshake_rejects", 1);
       std::ostringstream msg;
       msg << "bootstrap gap: resume position " << resume_seq
           << " predates the retained delta log (trimmed through "
           << trimmed_through_seq_ << "); ";
-      uint64_t snapshot_seq = 0;
-      if (!SnapshotOffered(&snapshot_seq)) {
+      if (!snapshot_offered) {
         msg << "no snapshot bootstrap is offered, so this replica "
                "cannot join until the builder restarts or serves an "
                "image";
-      } else if (snapshot_seq < trimmed_through_seq_) {
-        msg << "the offered bootstrap image covers only seq "
-            << snapshot_seq
-            << ", which the log has also outrun — cold join cannot "
-               "succeed until the builder refreshes its replication "
-               "image";
       } else {
-        msg << "rejoin with a snapshot bootstrap (want_snapshot)";
+        msg << "the offered bootstrap image is the seq-0 startup "
+               "state, which the log has also outrun — cold join cannot "
+               "succeed until the builder restarts";
       }
       WriteReplicationFrame(fd, ReplicationFrameType::kError, msg.str());
       ::close(fd);
@@ -347,10 +328,10 @@ void ReplicationFanout::RunSession(int fd) {
   if (session_ok && snap != nullptr) {
     session_ok = SendFrameChecked(
         replica, BuildReplicationFrame(ReplicationFrameType::kSnapshot,
-                                       *snap->bytes));
+                                       *snap));
     if (session_ok) {
       SIMGRAPH_COUNTER_ADD("serve.replication.snapshot_bytes_sent",
-                           static_cast<double>(snap->bytes->size()));
+                           static_cast<double>(snap->size()));
     }
   }
 
@@ -511,27 +492,16 @@ void ReplicationFanout::UpdateGaugesLocked() {
   }
 }
 
-std::shared_ptr<const ReplicationFanout::SnapshotImage>
-ReplicationFanout::Snapshot() {
+std::shared_ptr<const std::string> ReplicationFanout::Snapshot() {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (snapshot_path_.empty()) return nullptr;
   if (snapshot_cache_ != nullptr) return snapshot_cache_;
-  std::ifstream in(snapshot_path_, std::ios::binary);
+  std::ifstream in(options_.snapshot_path, std::ios::binary);
   if (!in) return nullptr;
   std::ostringstream buffer;
   buffer << in.rdbuf();
   if (!in.good() && !in.eof()) return nullptr;
-  auto image = std::make_shared<SnapshotImage>();
-  image->bytes = std::make_shared<const std::string>(buffer.str());
-  image->seq = snapshot_seq_;
-  snapshot_cache_ = std::move(image);
+  snapshot_cache_ = std::make_shared<const std::string>(buffer.str());
   return snapshot_cache_;
-}
-
-bool ReplicationFanout::SnapshotOffered(uint64_t* seq) const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (seq != nullptr) *seq = snapshot_seq_;
-  return !snapshot_path_.empty();
 }
 
 }  // namespace serve

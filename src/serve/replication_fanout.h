@@ -41,17 +41,14 @@ struct ReplicationFanoutOptions {
   int64_t handshake_timeout_ms = 10000;
   /// Retained shipped deltas for late-joiner backlog replay. A replica
   /// whose applied_seq predates the retained window is rejected with an
-  /// ERROR frame ("bootstrap gap") and must restart from a snapshot.
+  /// ERROR frame ("bootstrap gap").
   int64_t delta_log_capacity = 65536;
   /// SGCS image served to replicas that HELLO with want_snapshot; empty
-  /// means snapshot bootstrap is not offered. The image must represent
-  /// replica state as of `snapshot_seq` (the startup image is seq 0).
+  /// means snapshot bootstrap is not offered. The image is the builder's
+  /// startup follow graph, so it always stands for seq 0: a replica
+  /// bootstrapped from it trains seq-0 state and resumes at its HELLO's
+  /// applied_seq like any other joiner.
   std::string snapshot_path;
-  /// Sequence the snapshot image corresponds to: a want_snapshot joiner
-  /// resumes from here, and the bootstrap-gap check is made against it
-  /// rather than the joiner's own position. Refresh both together with
-  /// UpdateSnapshot when the builder regenerates its image.
-  uint64_t snapshot_seq = 0;
 };
 
 /// Builder-side replication: streams every delta the DeltaBuilder
@@ -90,14 +87,6 @@ class ReplicationFanout {
   /// Seeds the graph stats handed to replicas at handshake (call after
   /// the builder source trained, before serving).
   void SeedGraphStats(uint64_t epoch, int64_t edges);
-
-  /// Replaces the bootstrap image served to want_snapshot joiners.
-  /// `seq` is the sequence the new image represents state through;
-  /// joiners bootstrapping from it resume there, so a builder that
-  /// refreshes its image as the delta log trims keeps cold joins
-  /// possible indefinitely. The cached bytes are invalidated and
-  /// re-read lazily on the next bootstrap.
-  void UpdateSnapshot(const std::string& path, uint64_t seq);
 
   /// Builder-thread tap: serialize, append to the retained log, enqueue
   /// on every live replica, and apply the lag cutoff.
@@ -153,14 +142,6 @@ class ReplicationFanout {
     std::shared_ptr<std::atomic<bool>> done;
   };
 
-  /// The bootstrap image pinned together with the sequence it covers,
-  /// so a handshake cannot see one generation's seq and ship another
-  /// generation's bytes across a concurrent UpdateSnapshot.
-  struct SnapshotImage {
-    std::shared_ptr<const std::string> bytes;
-    uint64_t seq = 0;
-  };
-
   struct LogEntry {
     uint64_t seq_begin = 0;
     uint64_t seq_end = 0;
@@ -182,12 +163,9 @@ class ReplicationFanout {
   void UpdateGaugesLocked();
   /// Joins and erases finished session threads. sessions_mu_ held.
   void ReapSessionsLocked();
-  /// Loads (and caches) the snapshot image + its covered sequence.
-  /// nullptr when no image is configured or the file is unreadable.
-  std::shared_ptr<const SnapshotImage> Snapshot();
-  /// Whether a bootstrap image is offered; `*seq` (optional) receives
-  /// the sequence the current image covers.
-  bool SnapshotOffered(uint64_t* seq = nullptr) const;
+  /// Loads (and caches) the bytes of the configured snapshot image;
+  /// nullptr when the file is unreadable.
+  std::shared_ptr<const std::string> Snapshot();
 
   ReplicationFanoutOptions options_;
   std::atomic<bool> stopping_{false};
@@ -212,10 +190,8 @@ class ReplicationFanout {
   mutable std::mutex sessions_mu_;
   std::vector<Session> sessions_;
 
-  mutable std::mutex snapshot_mu_;
-  std::string snapshot_path_;
-  uint64_t snapshot_seq_ = 0;
-  std::shared_ptr<const SnapshotImage> snapshot_cache_;
+  std::mutex snapshot_mu_;  // guards snapshot_cache_
+  std::shared_ptr<const std::string> snapshot_cache_;
 };
 
 }  // namespace serve

@@ -256,7 +256,6 @@ RecommendResponse RecommendationService::RecommendLocked(
   // Passive when the TCP front-end already opened a scope for this
   // request; owning when the service API is called directly.
   trace::RequestScope request_scope("request/recommend");
-  request_scope.SetAttribute("user", request.user);
   SIMGRAPH_TRACE_SPAN("RecommendationService::Recommend", "serve");
   if (!metrics::Enabled()) return RecommendImpl(request, deadline);
 

@@ -152,7 +152,6 @@ RecommendResponse ShardedService::Recommend(const RecommendRequest& request) {
     SIMGRAPH_TRACE_SPAN("request/route", "serve");
     shard = router_.ShardOf(request.user);
   }
-  scope.SetAttribute("shard", shard);
   SIMGRAPH_COUNTER_ADD("serve.router.requests", 1);
   return shards_[static_cast<size_t>(shard)]->Recommend(request);
 }
@@ -167,7 +166,6 @@ std::vector<RecommendResponse> ShardedService::RecommendBatch(
   // One scope per batch: the shards' per-request recommend spans nest
   // under it, so a trace shows the whole batch as one connected tree.
   trace::RequestScope scope("request/recommend_batch");
-  scope.SetAttribute("batch", static_cast<int64_t>(requests.size()));
   const size_t n = requests.size();
   const size_t num_shards = shards_.size();
   std::vector<std::vector<size_t>> by_shard(num_shards);

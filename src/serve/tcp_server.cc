@@ -281,7 +281,6 @@ void TcpServer::ServeConnection(int fd) {
           // spans nest under it; encoded responses carry its id.
           trace::RequestScope scope("request/handle_batch");
           scope.set_op("request/recommend_batch");
-          scope.SetAttribute("batch", static_cast<int64_t>(run));
           std::vector<RecommendRequest> requests;
           requests.reserve(run);
           for (const StatusOr<WireRequest>& parsed : parsed_run) {
@@ -374,7 +373,6 @@ void TcpServer::ServeConnection(int fd) {
         }
         case WireRequest::Op::kRecommend: {
           scope.set_op("request/recommend");
-          scope.SetAttribute("user", request.user);
           const RecommendResponse response = service_->Recommend(
               RecommendRequest{request.user, request.now, request.k});
           SIMGRAPH_TRACE_SPAN("request/serialize", "serve");

@@ -65,7 +65,7 @@ std::string FormatEventAck(uint64_t seq);
 ///  "tweets":[{"id":3,"score":0.5}, ...]}
 /// `request_id` is the server-assigned trace id of this request (0 when
 /// tracing infrastructure assigned none); clients correlate it with the
-/// slow-request log and exported traces.
+/// flight recorder's slow-log entries and exported traces.
 std::string FormatRecommendResponse(UserId user, uint64_t request_id,
                                     const std::vector<ScoredTweet>& tweets,
                                     bool cache_hit, bool degraded,

@@ -103,8 +103,7 @@ LatencyHistogram::LatencyHistogram() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
-void LatencyHistogram::Record(double value) {
-  if (!Enabled()) return;
+void LatencyHistogram::RecordUngated(double value) {
   const int64_t prior = count_.fetch_add(1, std::memory_order_relaxed);
   buckets_[static_cast<size_t>(BucketIndex(value))].fetch_add(
       1, std::memory_order_relaxed);
@@ -133,31 +132,43 @@ double LatencyHistogram::BucketUpperBound(int i) {
   return kBase * std::ldexp(1.0, i);
 }
 
-double LatencyHistogram::Percentile(double p) const {
-  const int64_t n = count();
-  if (n == 0) return 0.0;
+double LatencyHistogram::PercentileFromBuckets(const BucketCounts& buckets,
+                                               int64_t n, double p,
+                                               double lo_cap, double hi_cap) {
+  if (n <= 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   // Nearest-rank target, as in util/histogram.
   const int64_t rank =
       std::max<int64_t>(1, static_cast<int64_t>(std::ceil(
                                p / 100.0 * static_cast<double>(n))));
+  // Reached only when `n` outruns the bucket counts (a racing Record).
+  double result = hi_cap;
   int64_t cumulative = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    const int64_t in_bucket = bucket_count(i);
+    const int64_t in_bucket = buckets[static_cast<size_t>(i)];
     if (in_bucket == 0) continue;
     if (cumulative + in_bucket >= rank) {
-      // Interpolate linearly inside the matched bucket, clamped to the
-      // observed extremes so the estimate never exceeds Max().
       const double lo = i == 0 ? 0.0 : kBase * std::ldexp(1.0, i - 1);
       double hi = BucketUpperBound(i);
-      if (!std::isfinite(hi)) hi = Max();
+      if (!std::isfinite(hi)) {
+        hi = std::isfinite(hi_cap) && hi_cap > lo ? hi_cap : lo * 2.0;
+      }
       const double frac = static_cast<double>(rank - cumulative) /
                           static_cast<double>(in_bucket);
-      return std::clamp(lo + frac * (hi - lo), Min(), Max());
+      result = lo + frac * (hi - lo);
+      break;
     }
     cumulative += in_bucket;
   }
-  return Max();
+  return std::min(std::max(result, lo_cap), hi_cap);
+}
+
+double LatencyHistogram::Percentile(double p) const {
+  BucketCounts buckets;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    buckets[static_cast<size_t>(i)] = bucket_count(i);
+  }
+  return PercentileFromBuckets(buckets, count(), p, Min(), Max());
 }
 
 void LatencyHistogram::Reset() {

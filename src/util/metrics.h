@@ -116,10 +116,17 @@ class Gauge {
 /// sample-storing Histogram this one is lock-free, constant-memory and
 /// safe to hammer from many threads; percentiles are interpolated inside
 /// the matched bucket and therefore carry at most one octave of error.
+///
+/// This class is the only owner of the bucket layout and the percentile
+/// estimator: util/timeseries keeps one LatencyHistogram per window and
+/// derives per-window percentiles of registry histograms with
+/// PercentileFromBuckets.
 class LatencyHistogram {
  public:
   static constexpr int kNumBuckets = 64;
   static constexpr double kBase = 1e-9;
+  /// Plain per-bucket counts (a snapshot, or a delta of two snapshots).
+  using BucketCounts = std::array<int64_t, kNumBuckets>;
 
   LatencyHistogram();
   LatencyHistogram(const LatencyHistogram&) = delete;
@@ -127,7 +134,12 @@ class LatencyHistogram {
 
   /// Records one sample; a no-op while collection is disabled.
   /// Non-positive samples land in bucket 0.
-  void Record(double value);
+  void Record(double value) {
+    if (Enabled()) RecordUngated(value);
+  }
+  /// Records one sample whatever the collection switch says — for
+  /// histograms that live outside the registry (util/timeseries).
+  void RecordUngated(double value);
 
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -150,6 +162,15 @@ class LatencyHistogram {
   }
   /// Inclusive upper bound of bucket `i` (infinity for the last bucket).
   static double BucketUpperBound(int i);
+
+  /// Nearest-rank percentile, p in [0, 100], of `n` samples with the
+  /// given bucket counts, linearly interpolated within the matched
+  /// bucket and clamped to [lo_cap, hi_cap] — the exact sample extremes
+  /// when known, else -infinity and infinity. A finite `hi_cap` closes
+  /// the open last bucket; without one that bucket spans one octave.
+  /// Returns 0 when `n` <= 0.
+  static double PercentileFromBuckets(const BucketCounts& buckets, int64_t n,
+                                      double p, double lo_cap, double hi_cap);
 
   void Reset();
 

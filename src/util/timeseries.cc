@@ -1,7 +1,6 @@
 #include "util/timeseries.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -15,79 +14,8 @@ namespace simgraph {
 namespace timeseries {
 namespace {
 
-constexpr int kNumBuckets = metrics::LatencyHistogram::kNumBuckets;
-constexpr double kBase = metrics::LatencyHistogram::kBase;
-
-// Same bucketing as metrics::LatencyHistogram so per-window percentiles
-// derived here and cumulative percentiles derived there agree bucket for
-// bucket.
-int BucketIndex(double value) {
-  if (!(value > kBase)) return 0;
-  const int index = static_cast<int>(std::ceil(std::log2(value / kBase)));
-  return std::clamp(index, 0, kNumBuckets - 1);
-}
-
-double BucketLowerBound(int i) {
-  return i == 0 ? 0.0 : kBase * std::ldexp(1.0, i - 1);
-}
-
-void AtomicAdd(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-// 0 is the "empty" sentinel for both extremes (windows record positive
-// quantities; non-positive samples are clamped into bucket 0 anyway).
-void AtomicMin(std::atomic<double>& target, double value) {
-  double cur = target.load(std::memory_order_relaxed);
-  while ((cur == 0.0 || value < cur) &&
-         !target.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<double>& target, double value) {
-  double cur = target.load(std::memory_order_relaxed);
-  while ((cur == 0.0 || value > cur) &&
-         !target.compare_exchange_weak(cur, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-// Nearest-rank percentile over a bucket-count array, interpolated within
-// the matched bucket — the per-window analogue of
-// metrics::LatencyHistogram::Percentile. `hi_cap` bounds the open-ended
-// last bucket (the window max when known, else one octave above its
-// lower bound).
-double PercentileFromBuckets(const std::array<int64_t, kNumBuckets>& buckets,
-                             int64_t n, double p, double lo_cap,
-                             double hi_cap) {
-  if (n <= 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const int64_t rank = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(p / 100.0 * static_cast<double>(n))));
-  int64_t cumulative = 0;
-  double result = hi_cap;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const int64_t in_bucket = buckets[static_cast<size_t>(i)];
-    if (in_bucket == 0) continue;
-    if (cumulative + in_bucket >= rank) {
-      const double lo = BucketLowerBound(i);
-      double hi = metrics::LatencyHistogram::BucketUpperBound(i);
-      if (!std::isfinite(hi)) hi = hi_cap > lo ? hi_cap : lo * 2.0;
-      const double frac = static_cast<double>(rank - cumulative) /
-                          static_cast<double>(in_bucket);
-      result = lo + frac * (hi - lo);
-      break;
-    }
-    cumulative += in_bucket;
-  }
-  if (lo_cap > 0.0) result = std::max(result, lo_cap);
-  if (hi_cap > 0.0) result = std::min(result, hi_cap);
-  return result;
-}
+using metrics::LatencyHistogram;
+constexpr int kNumBuckets = LatencyHistogram::kNumBuckets;
 
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
@@ -125,7 +53,7 @@ void AppendJsonDouble(std::string* out, double value) {
 // One histogram's cumulative state at a tick; windows are bucket-count
 // deltas between consecutive snapshots.
 struct HistSnapshot {
-  std::array<int64_t, kNumBuckets> buckets{};
+  LatencyHistogram::BucketCounts buckets{};
   int64_t count = 0;
   double sum = 0.0;
 };
@@ -140,7 +68,7 @@ void SnapshotRegistry(std::map<std::string, int64_t>* counters,
       [&](const std::string& name, const metrics::Gauge& g) {
         (*gauges)[name] = g.value();
       },
-      [&](const std::string& name, const metrics::LatencyHistogram& h) {
+      [&](const std::string& name, const LatencyHistogram& h) {
         auto& hist = (*histograms)[name];
         for (int i = 0; i < kNumBuckets; ++i) {
           hist.buckets[static_cast<size_t>(i)] = h.bucket_count(i);
@@ -155,13 +83,12 @@ void SnapshotRegistry(std::map<std::string, int64_t>* counters,
 // ---------------------------------------------------------------------------
 // WindowedHistogram
 
+// Each window records into its own LatencyHistogram, ungated: windows
+// are not part of the registry and record whether or not metrics
+// collection is on.
 struct WindowedHistogram::Slot {
   std::atomic<int64_t> window{-1};
-  std::atomic<int64_t> count{0};
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min{0.0};
-  std::atomic<double> max{0.0};
-  std::array<std::atomic<int64_t>, kNumBuckets> buckets{};
+  LatencyHistogram histogram;
 };
 
 WindowedHistogram::WindowedHistogram(int32_t capacity)
@@ -177,13 +104,8 @@ WindowedHistogram::Slot& WindowedHistogram::slot(int64_t window) const {
 }
 
 void WindowedHistogram::Add(double value) {
-  Slot& s = slot(current_.load(std::memory_order_acquire));
-  s.buckets[static_cast<size_t>(BucketIndex(value))].fetch_add(
-      1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(s.sum, value);
-  AtomicMin(s.min, value);
-  AtomicMax(s.max, value);
+  slot(current_.load(std::memory_order_acquire))
+      .histogram.RecordUngated(value);
 }
 
 void WindowedHistogram::AdvanceTo(int64_t window) {
@@ -194,11 +116,7 @@ void WindowedHistogram::AdvanceTo(int64_t window) {
   const int64_t first = std::max(cur + 1, window - capacity_ + 1);
   for (int64_t w = first; w <= window; ++w) {
     Slot& s = slot(w);
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-    s.min.store(0.0, std::memory_order_relaxed);
-    s.max.store(0.0, std::memory_order_relaxed);
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+    s.histogram.Reset();
     s.window.store(w, std::memory_order_relaxed);
   }
   current_.store(window, std::memory_order_release);
@@ -209,20 +127,14 @@ WindowStats WindowedHistogram::Window(int64_t window) const {
   WindowStats stats;
   stats.window = s.window.load(std::memory_order_relaxed);
   if (stats.window != window) return stats;  // evicted or never opened
-  std::array<int64_t, kNumBuckets> buckets;
-  int64_t n = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    buckets[static_cast<size_t>(i)] =
-        s.buckets[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-    n += buckets[static_cast<size_t>(i)];
-  }
-  stats.count = n;
-  stats.sum = s.sum.load(std::memory_order_relaxed);
-  stats.min = s.min.load(std::memory_order_relaxed);
-  stats.max = s.max.load(std::memory_order_relaxed);
-  stats.p50 = PercentileFromBuckets(buckets, n, 50.0, stats.min, stats.max);
-  stats.p95 = PercentileFromBuckets(buckets, n, 95.0, stats.min, stats.max);
-  stats.p99 = PercentileFromBuckets(buckets, n, 99.0, stats.min, stats.max);
+  const LatencyHistogram& h = s.histogram;
+  stats.count = h.count();
+  stats.sum = h.sum();
+  stats.min = h.Min();
+  stats.max = h.Max();
+  stats.p50 = h.p50();
+  stats.p95 = h.p95();
+  stats.p99 = h.p99();
   return stats;
 }
 
@@ -413,7 +325,7 @@ void TimeseriesRecorder::Tick() {
   }
   for (const auto& [name, hist] : histograms) {
     const auto it = prev_->histograms.find(name);
-    std::array<int64_t, kNumBuckets> delta{};
+    LatencyHistogram::BucketCounts delta{};
     int64_t n = 0;
     double sum_delta = hist.sum;
     if (it == prev_->histograms.end()) {
@@ -432,9 +344,16 @@ void TimeseriesRecorder::Tick() {
     HistogramWindow hw;
     hw.count = n;
     hw.sum = sum_delta;
-    hw.p50 = PercentileFromBuckets(delta, n, 50.0, 0.0, 0.0);
-    hw.p95 = PercentileFromBuckets(delta, n, 95.0, 0.0, 0.0);
-    hw.p99 = PercentileFromBuckets(delta, n, 99.0, 0.0, 0.0);
+    // The registry keeps no per-window extremes, so the estimate is
+    // uncapped and the open last bucket spans one octave.
+    const auto percentile = [&delta, n](double p) {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      return LatencyHistogram::PercentileFromBuckets(delta, n, p, -kInf,
+                                                     kInf);
+    };
+    hw.p50 = percentile(50.0);
+    hw.p95 = percentile(95.0);
+    hw.p99 = percentile(99.0);
     rec.histograms[name] = hw;
   }
 

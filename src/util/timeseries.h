@@ -54,8 +54,8 @@ struct WindowStats {
   double sum = 0.0;
   double min = 0.0;  ///< exact extremes; 0 when the window is empty
   double max = 0.0;
-  /// Interpolated within the matched power-of-two bucket, exactly like
-  /// metrics::LatencyHistogram::Percentile; 0 when the window is empty.
+  /// metrics::LatencyHistogram::Percentile of the window's samples; 0
+  /// when the window is empty.
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
@@ -63,9 +63,10 @@ struct WindowStats {
   double Mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
 };
 
-/// A ring of per-window histograms sharing metrics::LatencyHistogram's
-/// bucket shape (64 powers of two over a 1e-9 base), so any positive
-/// quantity fits. Keeps the last `capacity` windows.
+/// A ring of per-window metrics::LatencyHistogram instances (64 powers
+/// of two over a 1e-9 base, so any positive quantity fits). Samples are
+/// recorded whether or not metrics collection is on. Keeps the last
+/// `capacity` windows.
 class WindowedHistogram {
  public:
   explicit WindowedHistogram(int32_t capacity = kDefaultCapacity);

@@ -6,12 +6,10 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <unordered_set>
 #include <vector>
 
 #include "util/env.h"
-#include "util/logging.h"
 
 namespace simgraph {
 namespace trace {
@@ -28,8 +26,6 @@ bool SetEnabled(bool enabled) {
 namespace {
 
 std::atomic<uint64_t> g_next_request_id{1};
-std::atomic<int64_t> g_slow_request_threshold_us{
-    GetEnvInt64("SIMGRAPH_SLOW_REQUEST_US", 0)};
 std::atomic<bool> g_force_stage_collection{false};
 
 // The RequestScope currently governing this thread (nullptr outside any
@@ -162,15 +158,6 @@ uint64_t NewRequestId() {
 
 RequestScope* CurrentScope() { return t_current_scope; }
 
-int64_t SetSlowRequestThresholdUs(int64_t threshold_us) {
-  return g_slow_request_threshold_us.exchange(threshold_us,
-                                              std::memory_order_relaxed);
-}
-
-int64_t SlowRequestThresholdUs() {
-  return g_slow_request_threshold_us.load(std::memory_order_relaxed);
-}
-
 bool SetForceStageCollection(bool force) {
   return g_force_stage_collection.exchange(force, std::memory_order_relaxed);
 }
@@ -285,8 +272,7 @@ RequestScope::RequestScope(const char* op, uint64_t adopt_id,
     owner_ = true;
     recording_ = Enabled();
   }
-  collecting_ = recording_ || (owner_ && (SlowRequestThresholdUs() > 0 ||
-                                          ForceStageCollection()));
+  collecting_ = recording_ || (owner_ && ForceStageCollection());
   if (collecting_) start_us_ = NowMicros();
   t_current_scope = this;
 }
@@ -294,41 +280,11 @@ RequestScope::RequestScope(const char* op, uint64_t adopt_id,
 RequestScope::~RequestScope() {
   if (passive_) return;
   t_current_scope = prev_;
-  if (start_us_ < 0) return;
-  const int64_t end_us = NowMicros();
-  const int64_t total_us = end_us - start_us_;
   if (owner_ && recording_ && Enabled()) {
-    BufferEvent(TraceEvent{op_, "serve", 'X', start_us_, total_us, id_,
+    BufferEvent(TraceEvent{op_, "serve", 'X', start_us_,
+                           NowMicros() - start_us_, id_,
                            /*request_root=*/true});
   }
-  const int64_t threshold = SlowRequestThresholdUs();
-  if (owner_ && threshold > 0 && total_us >= threshold) {
-    // One structured JSON line per slow request; stage names are the
-    // child span names (docs/observability.md documents the format).
-    std::ostringstream line;
-    line << "{\"slow_request\":{\"request_id\":" << id_ << ",\"op\":\""
-         << op_ << "\",\"total_us\":" << total_us;
-    for (int i = 0; i < num_attributes_; ++i) {
-      line << ",\"" << attributes_[i].key
-           << "\":" << attributes_[i].value;
-    }
-    line << ",\"stages\":{";
-    for (int i = 0; i < num_stages_; ++i) {
-      if (i > 0) line << ",";
-      line << "\"" << stages_[i].name << "\":" << stages_[i].micros;
-    }
-    line << "}}}";
-    SIMGRAPH_LOG(Warning) << line.str();
-  }
-}
-
-void RequestScope::SetAttribute(const char* key, int64_t value) {
-  if (passive_) {
-    if (prev_ != nullptr) prev_->SetAttribute(key, value);
-    return;
-  }
-  if (num_attributes_ >= kMaxAttributes) return;
-  attributes_[num_attributes_++] = Attribute{key, value};
 }
 
 int64_t RequestScope::ElapsedUs() const {

@@ -47,12 +47,11 @@
 ///   }
 ///
 /// A RequestScope also collects a per-stage latency breakdown (one
-/// entry per child span closed on the same thread) and, when the
-/// slow-request threshold is set (SIMGRAPH_SLOW_REQUEST_US or
-/// SetSlowRequestThresholdUs), logs requests exceeding it as one
-/// structured JSON line via util/logging. Stage collection is active
-/// whenever tracing is on or the slow-request threshold is set;
-/// otherwise a RequestScope costs one id increment and no clock reads.
+/// entry per child span closed on the same thread), which the serving
+/// flight recorder (serve/flight_recorder.h) keeps for slow requests.
+/// Stage collection is active whenever tracing is on or
+/// SetForceStageCollection(true) is in effect; otherwise a RequestScope
+/// costs one id increment and no clock reads.
 ///
 /// Export drops request-scoped child events whose request never
 /// recorded a root span (e.g. tracing was toggled on mid-request), so
@@ -115,18 +114,10 @@ class RequestScope;
 /// request id across an explicit handoff (e.g. into a queue item).
 RequestScope* CurrentScope();
 
-/// Request-scoped spans: threshold (microseconds) above which a
-/// completed RequestScope logs its per-stage breakdown as one JSON line
-/// via util/logging. 0 (the default) disables the slow-request log. The
-/// initial value comes from SIMGRAPH_SLOW_REQUEST_US. Returns the
-/// previous threshold.
-int64_t SetSlowRequestThresholdUs(int64_t threshold_us);
-int64_t SlowRequestThresholdUs();
-
 /// Forces owning RequestScopes to collect per-stage breakdowns (and take
-/// the scope clock) even while tracing and the slow-request log are both
-/// off — the hook behind the serving flight recorder, which wants stage
-/// data for every request it might retain. Returns the previous value.
+/// the scope clock) even while tracing is off — the hook behind the
+/// serving flight recorder, which wants stage data for every request it
+/// might retain. Returns the previous value.
 bool SetForceStageCollection(bool force);
 bool ForceStageCollection();
 
@@ -148,26 +139,24 @@ struct StageLatency {
 /// RAII request context for one served request.
 ///
 /// The owning form (`adopt_id` == 0) allocates a new request id, makes
-/// it current on this thread, records the root span named `op` on
-/// destruction, and — when the slow-request threshold is set — logs the
-/// per-stage breakdown of requests that exceeded it. A RequestScope
-/// constructed while another scope is already current on the thread is
-/// passive: the outer scope keeps owning the request (so a service-level
-/// scope nests cleanly under a front-end scope).
+/// it current on this thread and records the root span named `op` on
+/// destruction. A RequestScope constructed while another scope is
+/// already current on the thread is passive: the outer scope keeps
+/// owning the request (so a service-level scope nests cleanly under a
+/// front-end scope).
 ///
 /// The adopting form (`adopt_id` != 0) re-attaches work running on a
 /// different thread (e.g. the ingestion applier) to an existing
-/// request: child spans record under `adopt_id`, but no root span and
-/// no slow-request log are emitted. `adopt_recorded` must say whether
-/// the originating scope was recording (carried alongside the id, e.g.
-/// through the ingestion queue) so a child span never records under a
-/// request whose root was dropped.
+/// request: child spans record under `adopt_id`, but no root span is
+/// emitted. `adopt_recorded` must say whether the originating scope was
+/// recording (carried alongside the id, e.g. through the ingestion
+/// queue) so a child span never records under a request whose root was
+/// dropped.
 ///
-/// `op` (and attribute keys) must be string literals.
+/// `op` must be a string literal.
 class RequestScope {
  public:
   static constexpr int kMaxStages = 16;
-  static constexpr int kMaxAttributes = 4;
 
   explicit RequestScope(const char* op, uint64_t adopt_id = 0,
                         bool adopt_recorded = false);
@@ -182,7 +171,7 @@ class RequestScope {
   /// True when child spans record trace events under this request.
   bool recording() const { return recording_; }
   /// True when child spans feed the per-stage breakdown (tracing on or
-  /// slow-request threshold set).
+  /// stage collection forced).
   bool collecting() const { return collecting_; }
 
   /// Renames the root span; call after the op becomes known (a wire
@@ -190,16 +179,12 @@ class RequestScope {
   /// scope).
   void set_op(const char* op) { op_ = op; }
 
-  /// Attaches a key/value to the slow-request log line (e.g. the user
-  /// id). At most kMaxAttributes stick; extras are dropped.
-  void SetAttribute(const char* key, int64_t value);
-
   /// Stages recorded so far by child spans on this thread.
   int num_stages() const { return num_stages_; }
   const StageLatency& stage(int i) const { return stages_[i]; }
 
   /// Microseconds since the scope opened; 0 when no clock was taken
-  /// (neither tracing nor the slow-request log active).
+  /// (the scope is not collecting).
   int64_t ElapsedUs() const;
 
  private:
@@ -216,11 +201,6 @@ class RequestScope {
   RequestScope* prev_ = nullptr;
   int num_stages_ = 0;
   StageLatency stages_[kMaxStages];
-  int num_attributes_ = 0;
-  struct Attribute {
-    const char* key;
-    int64_t value;
-  } attributes_[kMaxAttributes];
 };
 
 /// RAII complete-event span: records [construction, destruction) under

@@ -710,34 +710,6 @@ TEST_F(ReplicationTest, TrimmedLogColdJoinRejectionIsHonest) {
             std::string::npos)
       << status.ToString();
 
-  // After the builder refreshes its image to the current sequence, a
-  // cold want_snapshot joiner is accepted again: it resumes from the
-  // image's sequence, past the trimmed prefix.
-  fanout.UpdateSnapshot(image_path, fanout.built_seq());
-  StatusOr<int> peer = net::ConnectLoopback(fanout.port(), 2000);
-  ASSERT_TRUE(peer.ok());
-  ReplicaHello hello;
-  hello.name = "refreshed";
-  hello.want_snapshot = true;
-  std::string payload;
-  hello.SerializeTo(&payload);
-  ASSERT_TRUE(
-      WriteReplicationFrame(*peer, ReplicationFrameType::kHello, payload)
-          .ok());
-  ReplicationFrameType type;
-  ASSERT_TRUE(ReadReplicationFrame(*peer, &type, &payload).ok());
-  ASSERT_EQ(type, ReplicationFrameType::kHelloAck);
-  ReplicaHelloAck ack;
-  ASSERT_TRUE(ReplicaHelloAck::Parse(payload, &ack).ok());
-  EXPECT_TRUE(ack.snapshot_follows);
-  ASSERT_TRUE(ReadReplicationFrame(*peer, &type, &payload).ok());
-  EXPECT_EQ(type, ReplicationFrameType::kSnapshot);
-  EXPECT_EQ(payload, ReadFileBytes(image_path));
-  ASSERT_TRUE(fanout.WaitForReplicas(1, std::chrono::milliseconds(5000)));
-  // Resumed at the image's sequence: no backlog owed below it.
-  EXPECT_EQ(fanout.MinAckedSeq(), fanout.built_seq());
-
-  ::close(*peer);
   service.Stop();
   fanout.Stop();
 }

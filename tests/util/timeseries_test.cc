@@ -110,6 +110,33 @@ TEST(WindowedHistogramTest, PercentilesWithinClosedWindow) {
   EXPECT_LE(closed.p99, closed.max * 2);
 }
 
+TEST(WindowedHistogramTest, MatchesLatencyHistogramOnSameSamples) {
+  // A window promises LatencyHistogram's numbers exactly: same buckets,
+  // same record step, same percentile estimator.
+  const bool was_enabled = metrics::SetEnabled(true);
+  WindowedHistogram window;
+  metrics::LatencyHistogram cumulative;
+  // Spread over many octaves, up to the open last bucket (its lower
+  // bound is 1e-9 * 2^62, about 4.6e9).
+  const double samples[] = {3e-9, 7.5e-7, 1e-6,  2.5e-4, 1e-3, 1e-3,
+                            0.04, 0.9,    12.0,  3e5,    6e9,  2e10};
+  for (double v : samples) {
+    window.Add(v);
+    cumulative.Record(v);
+  }
+  metrics::SetEnabled(was_enabled);
+  ASSERT_GT(samples[11], metrics::LatencyHistogram::BucketUpperBound(
+                             metrics::LatencyHistogram::kNumBuckets - 2));
+  const WindowStats live = window.Live();
+  EXPECT_EQ(live.count, cumulative.count());
+  EXPECT_EQ(live.sum, cumulative.sum());
+  EXPECT_EQ(live.min, cumulative.Min());
+  EXPECT_EQ(live.max, cumulative.Max());
+  EXPECT_EQ(live.p50, cumulative.p50());
+  EXPECT_EQ(live.p95, cumulative.p95());
+  EXPECT_EQ(live.p99, cumulative.p99());
+}
+
 TEST(RateMeterTest, CountsPerWindowAndWraps) {
   RateMeter m(/*capacity=*/4);
   m.Add();

@@ -13,17 +13,17 @@ namespace trace {
 namespace {
 
 /// Each test starts from a clean slate: tracing off, buffers empty,
-/// slow-request log off.
+/// stage collection not forced.
 class TraceRequestTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SetEnabled(false);
-    SetSlowRequestThresholdUs(0);
+    SetForceStageCollection(false);
     Clear();
   }
   void TearDown() override {
     SetEnabled(false);
-    SetSlowRequestThresholdUs(0);
+    SetForceStageCollection(false);
     Clear();
   }
 
@@ -200,13 +200,12 @@ TEST_F(TraceRequestTest, StageBreakdownCollectsChildSpans) {
   EXPECT_GE(scope.stage(0).micros, 0);
 }
 
-TEST_F(TraceRequestTest, SlowThresholdEnablesCollectionWithoutTracing) {
-  SetSlowRequestThresholdUs(1);  // 1us: everything is "slow"
+TEST_F(TraceRequestTest, ForcedStageCollectionWorksWithoutTracing) {
+  SetForceStageCollection(true);
   {
     RequestScope scope("request/recommend");
     EXPECT_FALSE(scope.recording());
     EXPECT_TRUE(scope.collecting());
-    scope.SetAttribute("user", 7);
     TraceSpan span("request/cache_lookup", "serve");
   }
   // Collection fed the breakdown but recorded no trace events.

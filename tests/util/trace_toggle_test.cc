@@ -38,7 +38,6 @@ std::set<std::string> IdsAfter(const std::string& json,
 
 TEST(TraceToggleTest, TogglingUnderLoadLeavesNoDanglingRequestEvents) {
   SetEnabled(false);
-  SetSlowRequestThresholdUs(0);
   Clear();
 
   constexpr int kThreads = 8;

@@ -31,9 +31,6 @@
 //                   [--metrics-flush-ms N] flush --metrics-json every N ms
 //                                        from a background thread (default
 //                                        0: write once at shutdown)
-//                   [--slow-request-us N] log requests slower than N us as
-//                                        one structured JSON line (default
-//                                        0: off; see docs/observability.md)
 //                   [--stats-window-ms N] windowed telemetry: rotate the
 //                                        serve.window.* gauges, record one
 //                                        timeseries window every N ms, and
@@ -140,8 +137,6 @@ int Run(int argc, char** argv) {
   const std::string trace_path = FlagString(flags, "trace-json");
   if (!metrics_path.empty()) metrics::SetEnabled(true);
   if (!trace_path.empty()) trace::SetEnabled(true);
-  const int64_t slow_request_us = FlagInt(flags, "slow-request-us", 0);
-  if (slow_request_us > 0) trace::SetSlowRequestThresholdUs(slow_request_us);
   const int64_t stats_window_ms = FlagInt(flags, "stats-window-ms", 0);
   if (stats_window_ms > 0) {
     // Windowed telemetry needs the registry live and per-request stage
