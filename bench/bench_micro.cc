@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): the hot kernels of the system.
 //
-//   BM_Bfs*            - follow-graph traversal used by the 2-hop explorer
+//   BM_Bfs*, BM_TwoHop* - graph-library traversal (BFS distances, N2(u))
 //   BM_Similarity*     - Definition 3.1 on profile pairs / batched
 //   BM_SimGraphBuild*  - full SimGraph construction, both candidate modes
 //                        (the DESIGN.md ablation 3 cost comparison)
@@ -10,12 +10,15 @@
 //                        graph, mmap+validate it back, per-node varint
 //                        decode, and full rematerialization
 //
-// Propagation kernel sweep (seeds x fan-out), gated on an env var in the
-// same explicit-only convention as the serving snapshot:
+// Propagation kernel sweep (seeds x fan-out, plus one SimGraph build leg
+// per fan-out), gated on an env var in the same explicit-only convention
+// as the serving snapshot:
 //
 //   SIMGRAPH_BENCH_PROP_SNAPSHOT  path of a machine-readable JSON summary
 //                                 of the sweep (runs/s, updates/s,
-//                                 ns/update, mean latency per leg) for
+//                                 ns/update, mean latency per leg;
+//                                 builds/s, mean build latency and
+//                                 edges per build leg) for
 //                                 tools/metrics_diff; unset = no sweep
 //   SIMGRAPH_BENCH_PROP_SECONDS   measured wall-time per sweep leg (0.25)
 //
@@ -96,9 +99,10 @@ BENCHMARK(BM_SimilarityPair);
 
 void BM_SimilarityBatch(benchmark::State& state) {
   const ProfileStore& p = MicroProfiles();
+  SimilarityScratch scratch;
   UserId u = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(p.SimilaritiesOf(u));
+    benchmark::DoNotOptimize(p.SimilaritiesOf(u, scratch));
     u = (u + 7) % p.num_users();
   }
 }
@@ -304,11 +308,47 @@ PropagationLegResult RunPropagationLeg(const std::string& name,
   return leg;
 }
 
+// One measured SimGraph build leg of the sweep.
+struct BuildLegResult {
+  std::string name;
+  double builds_per_s = 0.0;
+  double mean_latency_us = 0.0;
+  int64_t edges = 0;
+};
+
+// Times back-to-back BuildSimGraph calls (default candidate mode) on the
+// micro dataset, so a slower candidate kernel shows up as fewer builds/s
+// and a higher mean latency (the leaf a 2.0 threshold can trip).
+BuildLegResult RunBuildLeg(const std::string& name,
+                           const SimGraphOptions& opts,
+                           double measure_seconds) {
+  // Each build logs one Info line; keep the sweep output readable.
+  const LogLevel saved =
+      internal_logging::SetMinLogLevel(LogLevel::kWarning);
+  BuildLegResult leg;
+  leg.name = name;
+  int64_t builds = 0;
+  WallTimer timer;
+  double elapsed = 0.0;
+  do {
+    leg.edges =
+        BuildSimGraph(MicroDataset().follow_graph, MicroProfiles(), opts)
+            .graph.num_edges();
+    ++builds;
+    elapsed = timer.ElapsedSeconds();
+  } while (elapsed < measure_seconds);
+  internal_logging::SetMinLogLevel(saved);
+  leg.builds_per_s = static_cast<double>(builds) / elapsed;
+  leg.mean_latency_us = elapsed * 1e6 / static_cast<double>(builds);
+  return leg;
+}
+
 }  // namespace
 
-// Seeds x fan-out sweep of the propagation kernel, written as JSON for
-// tools/metrics_diff. Fan-out varies via tau: the micro graph at
-// tau=0.002 ("fanhi") is ~4x denser than at tau=0.008 ("fanlo").
+// Seeds x fan-out sweep of the propagation kernel, plus one SimGraph build
+// leg per fan-out, written as JSON for tools/metrics_diff. Fan-out varies
+// via tau: the micro graph at tau=0.002 ("fanhi") is ~4x denser than at
+// tau=0.008 ("fanlo").
 int RunPropagationSweep(const std::string& snapshot_path) {
   const double measure_seconds =
       std::max(0.01, GetEnvDouble("SIMGRAPH_BENCH_PROP_SECONDS", 0.25));
@@ -321,11 +361,17 @@ int RunPropagationSweep(const std::string& snapshot_path) {
   const int32_t seed_counts[] = {1, 4, 16, 64};
 
   std::vector<PropagationLegResult> legs;
+  std::vector<BuildLegResult> build_legs;
   std::cout << "propagation kernel sweep (" << measure_seconds
             << " s/leg)\n";
   for (const GraphSpec& spec : graph_specs) {
     SimGraphOptions opts;
     opts.tau = spec.tau;
+    BuildLegResult build = RunBuildLeg(
+        std::string("build_") + spec.label, opts, measure_seconds);
+    std::cout << "  " << build.name << ": " << build.builds_per_s
+              << " builds/s, " << build.edges << " edges\n";
+    build_legs.push_back(std::move(build));
     const SimGraph sg =
         BuildSimGraph(MicroDataset().follow_graph, MicroProfiles(), opts);
     for (const int32_t seeds : seed_counts) {
@@ -346,7 +392,8 @@ int RunPropagationSweep(const std::string& snapshot_path) {
   }
   // Leaf names carry the better-direction for tools/metrics_diff:
   // *_per_s is higher-better, latency_us.mean lower-better, the rest
-  // neutral shape descriptors.
+  // neutral shape descriptors. Only the latency leaf can trip a threshold
+  // of 2.0 or more: a higher-better metric cannot drop by more than 100%.
   snapshot << "{\n  \"bench\": \"propagation_micro\",\n  \"legs\": {\n";
   for (size_t i = 0; i < legs.size(); ++i) {
     const PropagationLegResult& leg = legs[i];
@@ -359,7 +406,14 @@ int RunPropagationSweep(const std::string& snapshot_path) {
              << "      \"iterations_per_run\": " << leg.mean_iterations
              << ",\n"
              << "      \"updates_per_run\": " << leg.mean_updates << "\n"
-             << "    }" << (i + 1 < legs.size() ? "," : "") << "\n";
+             << "    },\n";
+  }
+  for (size_t i = 0; i < build_legs.size(); ++i) {
+    const BuildLegResult& leg = build_legs[i];
+    snapshot << "    \"" << leg.name << "\": {\"builds_per_s\": "
+             << leg.builds_per_s << ", \"latency_us\": {\"mean\": "
+             << leg.mean_latency_us << "}, \"edges\": " << leg.edges << "}"
+             << (i + 1 < build_legs.size() ? "," : "") << "\n";
   }
   snapshot << "  }\n}\n";
   std::cout << "propagation sweep snapshot written to " << snapshot_path

@@ -47,9 +47,10 @@ HomophilyStudy RunHomophilyStudy(const Dataset& dataset,
   int64_t top_n_total = 0;
   int64_t top_n_within_two = 0;
 
+  SimilarityScratch scratch;
   for (UserId u : probes) {
     // Similarity to every co-retweeting user.
-    std::vector<std::pair<UserId, double>> sims = profiles.SimilaritiesOf(u);
+    const auto sims = profiles.SimilaritiesOf(u, scratch);
     if (sims.empty()) continue;
     // Hop distances from u (out-direction: followees of followees ...).
     const std::vector<int32_t> dist = BfsDistancesBounded(

@@ -1,6 +1,7 @@
 #include "baselines/cf_recommender.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -17,19 +18,23 @@ Status CfRecommender::Train(const Dataset& dataset, int64_t train_end) {
   ProfileStore profiles(dataset, train_end);
 
   reverse_.assign(static_cast<size_t>(dataset.num_users()), {});
+  SimilarityScratch scratch;
+  std::vector<std::pair<UserId, double>> all_pairs;
   for (UserId u = 0; u < dataset.num_users(); ++u) {
     if (profiles.ProfileSize(u) == 0) continue;
-    std::vector<std::pair<UserId, double>> sims;
+    std::span<std::pair<UserId, double>> sims;
     if (options_.init_mode == CfInitMode::kAllPairs) {
       // Whole-matrix scan; zero-similarity pairs are dropped (they can
       // never enter a top-M neighbourhood).
+      all_pairs.clear();
       for (UserId v = 0; v < dataset.num_users(); ++v) {
         if (v == u) continue;
         const double s = profiles.Similarity(u, v);
-        if (s > 0.0) sims.emplace_back(v, s);
+        if (s > 0.0) all_pairs.emplace_back(v, s);
       }
+      sims = all_pairs;
     } else {
-      sims = profiles.SimilaritiesOf(u);
+      sims = profiles.SimilaritiesOf(u, scratch);
     }
     const int64_t m = std::min<int64_t>(options_.neighborhood_size,
                                         static_cast<int64_t>(sims.size()));

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 
-#include "graph/bfs.h"
+#include "core/hop_ball.h"
 #include "graph/graph_builder.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/stamped_set.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -20,17 +19,24 @@ struct WeightedEdge {
   double weight;
 };
 
+// Dense per-worker scratch indexed by user id. Both members clear in O(1),
+// so once warm the per-user candidate step allocates nothing.
+struct CandidateScratch {
+  SimilarityScratch similarity;
+  HopBall ball;
+};
+
 // Candidate edges for one source user under the literal 2-hop procedure.
 // Returns the number of candidates scored (the kept/scored ratio is the
 // tau pruning rate, exported as simgraph.build.candidates_pruned).
 int64_t CandidatesTwoHop(const Digraph& follow_graph,
                          const ProfileStore& profiles, UserId u,
                          const SimGraphOptions& options,
+                         CandidateScratch& scratch,
                          std::vector<WeightedEdge>& out) {
   int64_t scored = 0;
-  for (const HopNode& hop : KHopNeighborhood(follow_graph, u, options.hops,
-                                             TraversalDirection::kOut)) {
-    const UserId w = hop.node;
+  scratch.ball.Fill(follow_graph, u, options.hops);
+  for (const UserId w : scratch.ball.members()) {
     if (profiles.ProfileSize(w) == 0) continue;
     const double sim = profiles.Similarity(u, w);
     ++scored;
@@ -39,24 +45,20 @@ int64_t CandidatesTwoHop(const Digraph& follow_graph,
   return scored;
 }
 
-// Candidate edges via the inverted index intersected with N2(u).
-// `ball` is a reusable per-worker stamped visited array (O(1) clear), so
-// the per-user N2(u) membership test allocates nothing once warm.
+// Candidate edges via the inverted index intersected with N2(u). Each
+// weight is bit-identical to the two-hop mode's Similarity(u, w) (see
+// ProfileStore::SimilaritiesOf), and GraphBuilder sorts the edges, so the
+// emission order does not matter.
 int64_t CandidatesInvertedIndex(const Digraph& follow_graph,
                                 const ProfileStore& profiles, UserId u,
                                 const SimGraphOptions& options,
-                                StampedSet& ball,
+                                CandidateScratch& scratch,
                                 std::vector<WeightedEdge>& out) {
-  std::vector<std::pair<UserId, double>> sims = profiles.SimilaritiesOf(u);
+  const auto sims = profiles.SimilaritiesOf(u, scratch.similarity);
   if (sims.empty()) return 0;
-  ball.Reserve(static_cast<size_t>(follow_graph.num_nodes()));
-  ball.Clear();
-  for (const HopNode& hop : KHopNeighborhood(follow_graph, u, options.hops,
-                                             TraversalDirection::kOut)) {
-    ball.Insert(static_cast<size_t>(hop.node));
-  }
+  scratch.ball.Fill(follow_graph, u, options.hops);
   for (const auto& [w, sim] : sims) {
-    if (sim >= options.tau && ball.Contains(static_cast<size_t>(w))) {
+    if (sim >= options.tau && scratch.ball.Contains(w)) {
       out.push_back(WeightedEdge{u, w, sim});
     }
   }
@@ -108,9 +110,10 @@ SimGraph BuildSimGraph(const Digraph& follow_graph,
       static_cast<size_t>(pool.num_threads() * 4));
   std::atomic<size_t> shard_counter{0};
   std::atomic<int64_t> candidates_scored{0};
-  // One stamped N2(u) visited array per pool worker (chunks on the same
-  // worker run sequentially, so no synchronisation is needed).
-  std::vector<StampedSet> balls(static_cast<size_t>(pool.num_threads()));
+  // One dense scratch per pool worker (chunks on the same worker run
+  // sequentially, so no synchronisation is needed); freed on return.
+  std::vector<CandidateScratch> scratches(
+      static_cast<size_t>(pool.num_threads()));
 
   {
     SIMGRAPH_TRACE_SPAN("SimGraph::Build/candidates", "build");
@@ -119,21 +122,21 @@ SimGraph BuildSimGraph(const Digraph& follow_graph,
       const size_t shard = shard_counter.fetch_add(1) % shards.size();
       auto& local = shards[shard];
       const int worker = ThreadPool::CurrentWorkerIndex();
-      StampedSet fallback_ball;
-      StampedSet& ball =
-          worker >= 0 ? balls[static_cast<size_t>(worker)] : fallback_ball;
+      CandidateScratch fallback;
+      CandidateScratch& scratch =
+          worker >= 0 ? scratches[static_cast<size_t>(worker)] : fallback;
       int64_t scored = 0;
       for (int64_t i = begin; i < end; ++i) {
         const UserId u = static_cast<UserId>(i);
         if (profiles.ProfileSize(u) == 0) continue;
         switch (options.mode) {
           case CandidateMode::kTwoHopBfs:
-            scored +=
-                CandidatesTwoHop(follow_graph, profiles, u, options, local);
+            scored += CandidatesTwoHop(follow_graph, profiles, u, options,
+                                       scratch, local);
             break;
           case CandidateMode::kInvertedIndex:
             scored += CandidatesInvertedIndex(follow_graph, profiles, u,
-                                              options, ball, local);
+                                              options, scratch, local);
             break;
         }
       }

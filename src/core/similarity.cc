@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -96,32 +95,47 @@ double ProfileStore::Similarity(UserId u, UserId v) const {
   return inter_weight / static_cast<double>(union_size);
 }
 
-std::vector<std::pair<UserId, double>> ProfileStore::SimilaritiesOf(
-    UserId u) const {
-  struct Acc {
-    double weight = 0.0;
-    int64_t count = 0;
-  };
-  std::unordered_map<UserId, Acc> acc;
+std::span<std::pair<UserId, double>> ProfileStore::SimilaritiesOf(
+    UserId u, SimilarityScratch& scratch) const {
+  const size_t n = static_cast<size_t>(num_users());
+  if (scratch.weight_.size() < n) {
+    scratch.live_.Reserve(n);
+    scratch.weight_.resize(n);
+    scratch.count_.resize(n);
+  }
+  scratch.live_.Clear();
+  auto& out = scratch.result_;
+  out.clear();
   const auto lu = Profile(u);
   for (TweetId i : lu) {
     const double w = TweetWeight(i);
     for (UserId v : Retweeters(i)) {
       if (v == u) continue;
-      Acc& a = acc[v];
-      a.weight += w;
-      ++a.count;
+      const size_t slot = static_cast<size_t>(v);
+      if (scratch.live_.Insert(slot)) {
+        // First touch for this source: overwrite whatever an earlier
+        // source left in the slot (0.0 + w == w, so the sum is unchanged).
+        scratch.weight_[slot] = w;
+        scratch.count_[slot] = 1;
+        out.emplace_back(v, 0.0);
+      } else {
+        scratch.weight_[slot] += w;
+        ++scratch.count_[slot];
+      }
     }
   }
-  std::vector<std::pair<UserId, double>> out;
-  out.reserve(acc.size());
   const int64_t lu_size = static_cast<int64_t>(lu.size());
-  for (const auto& [v, a] : acc) {
-    const int64_t union_size = lu_size + ProfileSize(v) - a.count;
-    if (union_size > 0 && a.weight > 0.0) {
-      out.emplace_back(v, a.weight / static_cast<double>(union_size));
+  size_t kept = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const UserId v = out[i].first;
+    const size_t slot = static_cast<size_t>(v);
+    const double weight = scratch.weight_[slot];
+    const int64_t union_size = lu_size + ProfileSize(v) - scratch.count_[slot];
+    if (union_size > 0 && weight > 0.0) {
+      out[kept++] = {v, weight / static_cast<double>(union_size)};
     }
   }
+  out.resize(kept);
   return out;
 }
 

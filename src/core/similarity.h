@@ -3,12 +3,29 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dataset/dataset.h"
 #include "dataset/types.h"
+#include "util/stamped_set.h"
 
 namespace simgraph {
+
+/// Caller-owned dense scratch for ProfileStore::SimilaritiesOf: weight and
+/// co-retweet count slots indexed by user id, a StampedSet marking which
+/// slots belong to the current source (so moving to the next source is
+/// O(1)), and the result list, which doubles as the list of touched users.
+/// Once it has grown to num_users(), SimilaritiesOf allocates nothing.
+/// Reuse one scratch per thread; it is not thread-safe.
+class SimilarityScratch {
+ private:
+  friend class ProfileStore;
+  StampedSet live_;
+  std::vector<double> weight_;
+  std::vector<int32_t> count_;
+  std::vector<std::pair<UserId, double>> result_;
+};
 
 /// Retweet profiles and the popularity-adjusted Jaccard similarity of
 /// Definition 3.1:
@@ -61,9 +78,13 @@ class ProfileStore {
 
   /// Similarities of `u` against every user sharing at least one profile
   /// tweet with u, via the inverted index. Returns (user, sim) pairs with
-  /// sim > 0, unsorted. Cost is proportional to the total index size of
-  /// u's profile tweets.
-  std::vector<std::pair<UserId, double>> SimilaritiesOf(UserId u) const;
+  /// sim > 0 in first-touch order (not sorted), held in `scratch` and valid
+  /// until its next use; callers may reorder them in place. Cost is
+  /// proportional to the total index size of u's profile tweets. Each
+  /// value is bit-identical to Similarity(u, v): both sum the shared
+  /// tweets' weights in u's profile order and divide by the same union.
+  std::span<std::pair<UserId, double>> SimilaritiesOf(
+      UserId u, SimilarityScratch& scratch) const;
 
  private:
   // CSR profiles: user -> sorted tweet ids.

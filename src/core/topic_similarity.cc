@@ -5,7 +5,7 @@
 #include <cmath>
 #include <map>
 
-#include "graph/bfs.h"
+#include "core/hop_ball.h"
 #include "graph/graph_builder.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -114,19 +114,22 @@ SimGraph BuildHybridSimGraph(const Digraph& follow_graph,
   std::vector<std::vector<WeightedEdge>> shards(
       static_cast<size_t>(pool.num_threads() * 4));
   std::atomic<size_t> shard_counter{0};
+  // One ball per pool worker, as in BuildSimGraph.
+  std::vector<HopBall> balls(static_cast<size_t>(pool.num_threads()));
 
   ParallelFor(pool, n, [&](int64_t begin, int64_t end) {
     auto& local = shards[shard_counter.fetch_add(1) % shards.size()];
+    const int worker = ThreadPool::CurrentWorkerIndex();
+    HopBall fallback;
+    HopBall& ball = worker >= 0 ? balls[static_cast<size_t>(worker)] : fallback;
     for (int64_t i = begin; i < end; ++i) {
       const UserId u = static_cast<UserId>(i);
       // A user needs some signal — a retweet profile or a topic profile.
       if (profiles.ProfileSize(u) == 0 && topics.Profile(u).empty()) {
         continue;
       }
-      for (const HopNode& hop :
-           KHopNeighborhood(follow_graph, u, options.base.hops,
-                            TraversalDirection::kOut)) {
-        const UserId w = hop.node;
+      ball.Fill(follow_graph, u, options.base.hops);
+      for (const UserId w : ball.members()) {
         if (profiles.ProfileSize(w) == 0 && topics.Profile(w).empty()) {
           continue;
         }

@@ -113,6 +113,9 @@ StatusOr<Dataset> LoadDataset(const std::string& dir) {
     if (!in) return Status::IoError("cannot read tweets.txt in " + dir);
     int64_t n = 0;
     if (!(in >> n) || n < 0) return Status::IoError("bad tweets.txt header");
+    if (n > MaxTextRecords(dir + "/tweets.txt", 3)) {
+      return Status::IoError("tweets.txt count exceeds what the file holds");
+    }
     d.tweets.resize(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
       Tweet& t = d.tweets[static_cast<size_t>(i)];
@@ -127,6 +130,9 @@ StatusOr<Dataset> LoadDataset(const std::string& dir) {
     if (!in) return Status::IoError("cannot read retweets.txt in " + dir);
     int64_t n = 0;
     if (!(in >> n) || n < 0) return Status::IoError("bad retweets.txt header");
+    if (n > MaxTextRecords(dir + "/retweets.txt", 3)) {
+      return Status::IoError("retweets.txt count exceeds what the file holds");
+    }
     d.retweets.resize(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
       RetweetEvent& e = d.retweets[static_cast<size_t>(i)];

@@ -59,7 +59,7 @@ std::vector<HopNode> KHopNeighborhood(const Digraph& g, NodeId source,
   SIMGRAPH_CHECK_LT(source, g.num_nodes());
   SIMGRAPH_CHECK_GE(k, 0);
   // Hash-set based visitation so cost is proportional to the explored ball,
-  // not to |V| (this runs once per node during SimGraph construction).
+  // not to |V|.
   std::unordered_map<NodeId, int32_t> dist;
   dist.emplace(source, 0);
   std::deque<NodeId> frontier{source};

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "graph/graph_builder.h"
@@ -79,6 +80,12 @@ StatusOr<Digraph> ReadEdgeList(const std::string& path) {
   if (num_nodes < 0 || num_edges < 0 || (weighted != 0 && weighted != 1)) {
     return Status::IoError("invalid header values in " + path);
   }
+  if (num_nodes > std::numeric_limits<NodeId>::max()) {
+    return Status::IoError("node count exceeds the NodeId range in " + path);
+  }
+  if (num_edges > MaxTextRecords(path, weighted == 1 ? 3 : 2)) {
+    return Status::IoError("edge count exceeds what the file holds: " + path);
+  }
   GraphBuilder builder(static_cast<NodeId>(num_nodes));
   for (int64_t i = 0; i < num_edges; ++i) {
     int64_t u = 0;
@@ -94,6 +101,13 @@ StatusOr<Digraph> ReadEdgeList(const std::string& path) {
     builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
   }
   return builder.Build(weighted == 1);
+}
+
+int64_t MaxTextRecords(const std::string& path, int fields_per_record) {
+  std::error_code ec;
+  const auto bytes = std::filesystem::file_size(path, ec);
+  if (ec) return -1;
+  return (static_cast<int64_t>(bytes) + 1) / (2 * fields_per_record);
 }
 
 Status WriteBinaryGraph(const Digraph& g, const std::string& path) {

@@ -42,9 +42,10 @@ TEST(MutableProfileStoreTest, MatchesBatchStore) {
     ASSERT_EQ(mutable_store.ProfileSize(u), batch.ProfileSize(u));
   }
   // Similarities agree on a sample of co-retweeting pairs.
+  SimilarityScratch scratch;
   int checked = 0;
   for (UserId u = 0; u < d.num_users() && checked < 30; ++u) {
-    for (const auto& [v, sim] : batch.SimilaritiesOf(u)) {
+    for (const auto& [v, sim] : batch.SimilaritiesOf(u, scratch)) {
       ASSERT_NEAR(mutable_store.Similarity(u, v), sim, 1e-12);
       if (++checked >= 30) break;
     }

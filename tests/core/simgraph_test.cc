@@ -1,12 +1,15 @@
 #include "core/simgraph.h"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/logging.h"
 
+#include "core/hop_ball.h"
 #include "dataset/generator.h"
+#include "graph/bfs.h"
 #include "graph/graph_builder.h"
 
 namespace simgraph {
@@ -102,7 +105,32 @@ TEST(SimGraphBuilderTest, BfsAndInvertedIndexModesAgree) {
     ASSERT_EQ(na.size(), nb.size());
     for (size_t i = 0; i < na.size(); ++i) {
       ASSERT_EQ(na[i], nb[i]);
-      ASSERT_DOUBLE_EQ(a.graph.OutWeights(u)[i], b.graph.OutWeights(u)[i]);
+      // Exact: both modes sum in u's profile order over the same union.
+      ASSERT_EQ(a.graph.OutWeights(u)[i], b.graph.OutWeights(u)[i]);
+    }
+  }
+}
+
+TEST(HopBallTest, MatchesKHopNeighborhoodWhenReused) {
+  // One ball refilled for every source and radius must hold exactly the
+  // graph library's N_k(u); a slot left over from an earlier fill must not
+  // leak into the next one.
+  const Dataset d = GenerateDataset(TinyConfig());
+  const Digraph& g = d.follow_graph;
+  HopBall ball;
+  for (int32_t k = 0; k <= 3; ++k) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      ball.Fill(g, u, k);
+      std::vector<NodeId> got(ball.members().begin(), ball.members().end());
+      std::sort(got.begin(), got.end());
+      std::vector<NodeId> want;
+      for (const HopNode& hop :
+           KHopNeighborhood(g, u, k, TraversalDirection::kOut)) {
+        want.push_back(hop.node);
+      }
+      ASSERT_EQ(got, want) << "source " << u << ", k " << k;
+      EXPECT_FALSE(ball.Contains(u));
+      for (const NodeId v : want) ASSERT_TRUE(ball.Contains(v));
     }
   }
 }
@@ -122,7 +150,10 @@ TEST(SimGraphBuilderTest, MultithreadedBuildIsDeterministic) {
     const auto na = a.graph.OutNeighbors(u);
     const auto nb = b.graph.OutNeighbors(u);
     ASSERT_EQ(na.size(), nb.size());
-    for (size_t i = 0; i < na.size(); ++i) ASSERT_EQ(na[i], nb[i]);
+    for (size_t i = 0; i < na.size(); ++i) {
+      ASSERT_EQ(na[i], nb[i]);
+      ASSERT_EQ(a.graph.OutWeights(u)[i], b.graph.OutWeights(u)[i]);
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,7 +129,8 @@ TEST(SimilarityTest, UnretweetedTweetHasZeroWeight) {
 TEST(SimilaritiesOfTest, MatchesPairwiseSimilarity) {
   const Dataset d = MakeTrace();
   ProfileStore p(d, d.num_retweets());
-  const auto sims = p.SimilaritiesOf(0);
+  SimilarityScratch scratch;
+  const auto sims = p.SimilaritiesOf(0, scratch);
   // u0 co-retweets with u1 (t0, t1) and u2 (t1).
   ASSERT_EQ(sims.size(), 2u);
   for (const auto& [v, sim] : sims) {
@@ -137,11 +141,12 @@ TEST(SimilaritiesOfTest, MatchesPairwiseSimilarity) {
 TEST(SimilaritiesOfTest, ExcludesSelfAndCold) {
   const Dataset d = MakeTrace();
   ProfileStore p(d, d.num_retweets());
-  for (const auto& [v, sim] : p.SimilaritiesOf(1)) {
+  SimilarityScratch scratch;
+  for (const auto& [v, sim] : p.SimilaritiesOf(1, scratch)) {
     EXPECT_NE(v, 1);
     EXPECT_GT(sim, 0.0);
   }
-  EXPECT_TRUE(p.SimilaritiesOf(3).empty());
+  EXPECT_TRUE(p.SimilaritiesOf(3, scratch).empty());
 }
 
 TEST(SimilaritiesOfTest, AgreesWithPairwiseOnSyntheticData) {
@@ -149,9 +154,10 @@ TEST(SimilaritiesOfTest, AgreesWithPairwiseOnSyntheticData) {
   // computation must equal the merge-based pairwise one.
   const Dataset d = GenerateDataset(TinyConfig());
   ProfileStore p(d, d.num_retweets());
+  SimilarityScratch scratch;
   int checked = 0;
   for (UserId u = 0; u < d.num_users() && checked < 20; ++u) {
-    const auto sims = p.SimilaritiesOf(u);
+    const auto sims = p.SimilaritiesOf(u, scratch);
     if (sims.empty()) continue;
     ++checked;
     for (const auto& [v, sim] : sims) {
@@ -159,6 +165,31 @@ TEST(SimilaritiesOfTest, AgreesWithPairwiseOnSyntheticData) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+TEST(SimilaritiesOfTest, ReusedScratchIsExactInAnyOrder) {
+  // One scratch serves every user, visited in a shuffled order, so each
+  // call lands on slots that earlier sources left dirty. Every value must
+  // equal the pairwise merge bit for bit, and no co-retweeter may be
+  // missing or extra.
+  const Dataset d = GenerateDataset(TinyConfig());
+  ProfileStore p(d, d.num_retweets());
+  std::vector<UserId> order(static_cast<size_t>(d.num_users()));
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  SimilarityScratch scratch;
+  int64_t pairs = 0;
+  for (const UserId u : order) {
+    const auto sims = p.SimilaritiesOf(u, scratch);
+    for (const auto& [v, sim] : sims) EXPECT_EQ(sim, p.Similarity(u, v));
+    int64_t expected = 0;
+    for (UserId v = 0; v < d.num_users(); ++v) {
+      if (v != u && p.Similarity(u, v) > 0.0) ++expected;
+    }
+    ASSERT_EQ(static_cast<int64_t>(sims.size()), expected) << "user " << u;
+    pairs += expected;
+  }
+  EXPECT_GT(pairs, 0);
 }
 
 }  // namespace

@@ -162,6 +162,44 @@ TEST(DatasetTest, LoadRevalidatesInvariants) {
   std::filesystem::remove_all(dir);
 }
 
+// Saves TinyTrace to `dir`, replaces `file` with `contents` and returns
+// what LoadDataset makes of it.
+Status LoadWithReplacedFile(const std::string& dir, const std::string& file,
+                            const std::string& contents) {
+  std::filesystem::create_directories(dir);
+  SIMGRAPH_RETURN_IF_ERROR(SaveDataset(TinyTrace(), dir));
+  {
+    std::ofstream out(dir + "/" + file);
+    out << contents;
+  }
+  const Status status = LoadDataset(dir).status();
+  std::filesystem::remove_all(dir);
+  return status;
+}
+
+TEST(DatasetTest, LoadRejectsHostileGraphNodeCount) {
+  // 10^12 nodes does not fit a NodeId; it must not reach GraphBuilder.
+  const Status status =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_hostile_graph",
+                           "graph.txt", "1000000000000 0 0\n");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST(DatasetTest, LoadRejectsHostileTweetCount) {
+  // The count is checked against the file size before anything is sized.
+  const Status status =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_hostile_tweets",
+                           "tweets.txt", "999999999999999\n0 100 1\n");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST(DatasetTest, LoadRejectsHostileRetweetCount) {
+  const Status status =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_hostile_rt",
+                           "retweets.txt", "999999999999999\n0 1 150\n");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
 }  // namespace
 }  // namespace simgraph
 
