@@ -6,6 +6,8 @@
 //                        (the DESIGN.md ablation 3 cost comparison)
 //   BM_Propagation     - Algorithm 1 on a live SimGraph
 //   BM_Solver*         - Jacobi / Gauss-Seidel / SOR on a propagation system
+//   BM_LoadDataset     - text load of a generated dataset (LoadDataset:
+//                        one read per file, in-place parse, Validate)
 //   BM_Snapshot*       - SGCS store (docs/store.md): serialize the follow
 //                        graph, mmap+validate it back, per-node varint
 //                        decode, and full rematerialization
@@ -27,6 +29,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 
@@ -167,6 +170,34 @@ const std::string& MicroSnapshotPath() {
   }();
   return *path;
 }
+
+// The text dataset the servers load at start-up (SaveDataset's three
+// files), written once per process.
+const std::string& MicroDatasetDir() {
+  static const std::string* dir = [] {
+    auto* d = new std::string("/tmp/simgraph_bench_micro_dataset");
+    std::filesystem::create_directories(*d);
+    const Status saved = SaveDataset(MicroDataset(), *d);
+    SIMGRAPH_CHECK(saved.ok()) << saved.ToString();
+    return d;
+  }();
+  return *dir;
+}
+
+void BM_LoadDataset(benchmark::State& state) {
+  const std::string& dir = MicroDatasetDir();
+  int64_t bytes = 0;
+  for (const char* file : {"/graph.txt", "/tweets.txt", "/retweets.txt"}) {
+    bytes += static_cast<int64_t>(std::filesystem::file_size(dir + file));
+  }
+  for (auto _ : state) {
+    StatusOr<Dataset> loaded = LoadDataset(dir);
+    SIMGRAPH_CHECK(loaded.ok()) << loaded.status().ToString();
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_LoadDataset)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotWrite(benchmark::State& state) {
   const Digraph& g = MicroDataset().follow_graph;

@@ -90,10 +90,15 @@ Status IncrementalSimGraph::Initialize(const Dataset& dataset,
   }
 
   // Seed the adjacency with the batch-built graph so Initialize(X) is
-  // bit-identical to BuildSimGraph over the same prefix.
+  // bit-identical to BuildSimGraph over the same prefix. The seed build
+  // runs once per start-up, so it takes every core: GraphBuilder sorts
+  // the edges by (src, dst), which makes the CSR identical at any
+  // thread count.
   ProfileStore batch_profiles(dataset, event_end);
+  SimGraphOptions seed_options = options_;
+  seed_options.num_threads = 0;
   const SimGraph seed =
-      BuildSimGraph(*follow_graph_, batch_profiles, options_);
+      BuildSimGraph(*follow_graph_, batch_profiles, seed_options);
   adjacency_.assign(static_cast<size_t>(dataset.num_users()), {});
   reverse_.assign(static_cast<size_t>(dataset.num_users()), {});
   num_edges_ = 0;

@@ -89,7 +89,9 @@ class IncrementalSimGraph {
                       const SimGraphOptions& options);
 
   /// Builds profiles and the similarity graph from the first `event_end`
-  /// retweets of `dataset`.
+  /// retweets of `dataset`. The seed BuildSimGraph runs on every core
+  /// whatever `options.num_threads` says; its output does not depend on
+  /// the thread count.
   Status Initialize(const Dataset& dataset, int64_t event_end);
 
   /// Applies one retweet event (must follow the initialisation prefix in

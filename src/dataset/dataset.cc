@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
-#include <unordered_set>
 
 #include "graph/graph_io.h"
 #include "util/logging.h"
+#include "util/text_cursor.h"
 
 namespace simgraph {
 
@@ -53,7 +53,8 @@ Status Dataset::Validate() const {
       return Status::Internal("tweets not sorted by time");
     }
   }
-  std::unordered_set<int64_t> seen;  // (tweet, user) pairs
+  std::vector<int64_t> pairs;  // (tweet, user) keys
+  pairs.reserve(retweets.size());
   for (size_t i = 0; i < retweets.size(); ++i) {
     const RetweetEvent& e = retweets[i];
     if (e.tweet < 0 || e.tweet >= num_tweets()) {
@@ -71,10 +72,11 @@ Status Dataset::Validate() const {
     if (tweets[static_cast<size_t>(e.tweet)].author == e.user) {
       return Status::Internal("author retweeted own tweet");
     }
-    const int64_t key = e.tweet * static_cast<int64_t>(num_users()) + e.user;
-    if (!seen.insert(key).second) {
-      return Status::Internal("duplicate (tweet, user) retweet");
-    }
+    pairs.push_back(e.tweet * static_cast<int64_t>(num_users()) + e.user);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  if (std::adjacent_find(pairs.begin(), pairs.end()) != pairs.end()) {
+    return Status::Internal("duplicate (tweet, user) retweet");
   }
   return Status::Ok();
 }
@@ -109,34 +111,38 @@ StatusOr<Dataset> LoadDataset(const std::string& dir) {
   if (!graph.ok()) return graph.status();
   d.follow_graph = std::move(graph).value();
   {
-    std::ifstream in(dir + "/tweets.txt");
-    if (!in) return Status::IoError("cannot read tweets.txt in " + dir);
+    StatusOr<std::string> text = ReadTextFile(dir + "/tweets.txt");
+    if (!text.ok()) return Status::IoError("cannot read tweets.txt in " + dir);
+    TextCursor in(*text);
     int64_t n = 0;
-    if (!(in >> n) || n < 0) return Status::IoError("bad tweets.txt header");
-    if (n > MaxTextRecords(dir + "/tweets.txt", 3)) {
+    if (!in.Next(&n) || n < 0) return Status::IoError("bad tweets.txt header");
+    if (n > in.MaxRecords(3)) {
       return Status::IoError("tweets.txt count exceeds what the file holds");
     }
     d.tweets.resize(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
       Tweet& t = d.tweets[static_cast<size_t>(i)];
       t.id = i;
-      if (!(in >> t.author >> t.time >> t.topic)) {
+      if (!in.Next(&t.author) || !in.Next(&t.time) || !in.Next(&t.topic)) {
         return Status::IoError("truncated tweets.txt");
       }
     }
   }
   {
-    std::ifstream in(dir + "/retweets.txt");
-    if (!in) return Status::IoError("cannot read retweets.txt in " + dir);
+    StatusOr<std::string> text = ReadTextFile(dir + "/retweets.txt");
+    if (!text.ok()) {
+      return Status::IoError("cannot read retweets.txt in " + dir);
+    }
+    TextCursor in(*text);
     int64_t n = 0;
-    if (!(in >> n) || n < 0) return Status::IoError("bad retweets.txt header");
-    if (n > MaxTextRecords(dir + "/retweets.txt", 3)) {
+    if (!in.Next(&n) || n < 0) return Status::IoError("bad retweets.txt header");
+    if (n > in.MaxRecords(3)) {
       return Status::IoError("retweets.txt count exceeds what the file holds");
     }
     d.retweets.resize(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
       RetweetEvent& e = d.retweets[static_cast<size_t>(i)];
-      if (!(in >> e.tweet >> e.user >> e.time)) {
+      if (!in.Next(&e.tweet) || !in.Next(&e.user) || !in.Next(&e.time)) {
         return Status::IoError("truncated retweets.txt");
       }
     }

@@ -63,7 +63,10 @@ struct Dataset {
 /// retweets.txt). The directory must exist.
 Status SaveDataset(const Dataset& dataset, const std::string& dir);
 
-/// Loads a dataset written by SaveDataset.
+/// Loads a dataset written by SaveDataset: each file is read with one read
+/// and parsed in place (util/text_cursor.h), then the whole dataset is
+/// checked with Validate. Malformed, truncated or out-of-range fields and
+/// header counts larger than a file can hold are IoErrors.
 StatusOr<Dataset> LoadDataset(const std::string& dir);
 
 }  // namespace simgraph

@@ -22,12 +22,17 @@ void GraphBuilder::AddEdge(NodeId u, NodeId v, double weight) {
 
 Digraph GraphBuilder::Build(bool weighted) {
   // Stable sort by (src, dst); for duplicates the last-added edge wins, so
-  // we keep the final occurrence of each (src, dst) pair.
-  std::stable_sort(edges_.begin(), edges_.end(),
-                   [](const Edge& a, const Edge& b) {
-                     if (a.src != b.src) return a.src < b.src;
-                     return a.dst < b.dst;
-                   });
+  // we keep the final occurrence of each (src, dst) pair. Input already in
+  // order (a loaded edge list, a single-threaded SimGraph build) skips the
+  // sort: equal pairs then sit in insertion order, exactly where the
+  // stable sort would leave them.
+  const auto by_src_dst = [](const Edge& a, const Edge& b) {
+    if (a.src != b.src) return a.src < b.src;
+    return a.dst < b.dst;
+  };
+  if (!std::is_sorted(edges_.begin(), edges_.end(), by_src_dst)) {
+    std::stable_sort(edges_.begin(), edges_.end(), by_src_dst);
+  }
   // Deduplicate, keeping the last occurrence within each equal range.
   size_t out = 0;
   for (size_t i = 0; i < edges_.size(); ++i) {

@@ -20,13 +20,19 @@ class GraphBuilder {
   /// Preconditions: 0 <= u,v < num_nodes, u != v.
   void AddEdge(NodeId u, NodeId v, double weight = 1.0);
 
+  /// Reserves room for `num_edges` pending edges (a hint; never shrinks).
+  void Reserve(int64_t num_edges) {
+    edges_.reserve(static_cast<size_t>(num_edges));
+  }
+
   /// Number of edges added so far (before deduplication).
   int64_t num_pending_edges() const {
     return static_cast<int64_t>(edges_.size());
   }
 
   /// Builds the graph. `weighted` controls whether per-edge weights are
-  /// stored. Consumes the builder's buffers; the builder is empty afterwards.
+  /// stored. Edges added already in (src, dst) order skip the sort.
+  /// Consumes the builder's buffers; the builder is empty afterwards.
   Digraph Build(bool weighted = false);
 
  private:

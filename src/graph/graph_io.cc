@@ -5,9 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "graph/graph_builder.h"
+#include "util/text_cursor.h"
 
 namespace simgraph {
 namespace {
@@ -69,12 +69,13 @@ Status WriteEdgeList(const Digraph& g, const std::string& path) {
 }
 
 StatusOr<Digraph> ReadEdgeList(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  TextCursor in(*text);
   int64_t num_nodes = 0;
   int64_t num_edges = 0;
   int weighted = 0;
-  if (!(in >> num_nodes >> num_edges >> weighted)) {
+  if (!in.Next(&num_nodes) || !in.Next(&num_edges) || !in.Next(&weighted)) {
     return Status::IoError("malformed header in " + path);
   }
   if (num_nodes < 0 || num_edges < 0 || (weighted != 0 && weighted != 1)) {
@@ -83,16 +84,19 @@ StatusOr<Digraph> ReadEdgeList(const std::string& path) {
   if (num_nodes > std::numeric_limits<NodeId>::max()) {
     return Status::IoError("node count exceeds the NodeId range in " + path);
   }
-  if (num_edges > MaxTextRecords(path, weighted == 1 ? 3 : 2)) {
+  if (num_edges > in.MaxRecords(weighted == 1 ? 3 : 2)) {
     return Status::IoError("edge count exceeds what the file holds: " + path);
   }
   GraphBuilder builder(static_cast<NodeId>(num_nodes));
+  builder.Reserve(num_edges);
   for (int64_t i = 0; i < num_edges; ++i) {
     int64_t u = 0;
     int64_t v = 0;
     double w = 1.0;
-    if (!(in >> u >> v)) return Status::IoError("truncated edge list: " + path);
-    if (weighted == 1 && !(in >> w)) {
+    if (!in.Next(&u) || !in.Next(&v)) {
+      return Status::IoError("truncated edge list: " + path);
+    }
+    if (weighted == 1 && !in.Next(&w)) {
       return Status::IoError("truncated weights: " + path);
     }
     if (u < 0 || u >= num_nodes || v < 0 || v >= num_nodes || u == v) {
@@ -101,13 +105,6 @@ StatusOr<Digraph> ReadEdgeList(const std::string& path) {
     builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
   }
   return builder.Build(weighted == 1);
-}
-
-int64_t MaxTextRecords(const std::string& path, int fields_per_record) {
-  std::error_code ec;
-  const auto bytes = std::filesystem::file_size(path, ec);
-  if (ec) return -1;
-  return (static_cast<int64_t>(bytes) + 1) / (2 * fields_per_record);
 }
 
 Status WriteBinaryGraph(const Digraph& g, const std::string& path) {

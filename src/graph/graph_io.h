@@ -12,19 +12,12 @@ namespace simgraph {
 /// weighted", then one "src dst [weight]" line per edge.
 Status WriteEdgeList(const Digraph& g, const std::string& path);
 
-/// Reads a graph written by WriteEdgeList. A header whose node count does
-/// not fit a NodeId, or whose edge count exceeds MaxTextRecords, is an
-/// IoError.
+/// Reads a graph written by WriteEdgeList: the file is read with one
+/// read and parsed in place (util/text_cursor.h). A header whose node
+/// count does not fit a NodeId, or whose edge count exceeds what the file
+/// can hold (TextCursor::MaxRecords), is an IoError, as is a malformed,
+/// missing or out-of-range field and a non-finite weight.
 StatusOr<Digraph> ReadEdgeList(const std::string& path);
-
-/// Upper bound on how many records of `fields_per_record` whitespace-
-/// separated fields the text file at `path` can hold: every field takes at
-/// least one character and one separator, except that the last field of
-/// the file may lack its separator. Text loaders check header counts
-/// against it before allocating, so a forged count fails cleanly. Returns
-/// -1, which every count fails, when the file has no size (not a regular
-/// file).
-int64_t MaxTextRecords(const std::string& path, int fields_per_record);
 
 /// Writes `g` in a compact binary format (magic + version header, then
 /// raw CSR arrays). Roughly 5-10x smaller and faster than the text form.

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -109,16 +110,47 @@ TEST(DatasetTest, LoadMissingDirFails) {
 }
 
 TEST(DatasetTest, GeneratedRoundTripPreservesEverything) {
+  // SaveDataset -> LoadDataset is the identity, field by field.
   const Dataset d = GenerateDataset(TinyConfig());
   const std::string dir = ::testing::TempDir() + "/simgraph_gen_roundtrip";
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(SaveDataset(d, dir).ok());
   StatusOr<Dataset> loaded = LoadDataset(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->follow_graph.num_edges(), d.follow_graph.num_edges());
-  EXPECT_EQ(loaded->num_retweets(), d.num_retweets());
-  EXPECT_TRUE(loaded->Validate().ok());
   std::filesystem::remove_all(dir);
+
+  const Digraph& g = loaded->follow_graph;
+  ASSERT_EQ(g.num_nodes(), d.follow_graph.num_nodes());
+  ASSERT_EQ(g.num_edges(), d.follow_graph.num_edges());
+  EXPECT_EQ(g.has_weights(), d.follow_graph.has_weights());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto out = g.OutNeighbors(u);
+    const auto want_out = d.follow_graph.OutNeighbors(u);
+    ASSERT_EQ(std::vector<NodeId>(out.begin(), out.end()),
+              std::vector<NodeId>(want_out.begin(), want_out.end()));
+    const auto in = g.InNeighbors(u);
+    const auto want_in = d.follow_graph.InNeighbors(u);
+    ASSERT_EQ(std::vector<NodeId>(in.begin(), in.end()),
+              std::vector<NodeId>(want_in.begin(), want_in.end()));
+  }
+  ASSERT_EQ(loaded->num_tweets(), d.num_tweets());
+  for (size_t i = 0; i < d.tweets.size(); ++i) {
+    const Tweet& a = loaded->tweets[i];
+    const Tweet& b = d.tweets[i];
+    ASSERT_EQ(a.id, b.id) << i;
+    ASSERT_EQ(a.author, b.author) << i;
+    ASSERT_EQ(a.time, b.time) << i;
+    ASSERT_EQ(a.topic, b.topic) << i;
+  }
+  ASSERT_EQ(loaded->num_retweets(), d.num_retweets());
+  for (size_t i = 0; i < d.retweets.size(); ++i) {
+    const RetweetEvent& a = loaded->retweets[i];
+    const RetweetEvent& b = d.retweets[i];
+    ASSERT_EQ(a.tweet, b.tweet) << i;
+    ASSERT_EQ(a.user, b.user) << i;
+    ASSERT_EQ(a.time, b.time) << i;
+  }
+  EXPECT_EQ(loaded->num_users_hint, d.num_users_hint);
 }
 
 TEST(DatasetTest, LoadRejectsCorruptTweets) {
@@ -198,6 +230,79 @@ TEST(DatasetTest, LoadRejectsHostileRetweetCount) {
       LoadWithReplacedFile(::testing::TempDir() + "/simgraph_hostile_rt",
                            "retweets.txt", "999999999999999\n0 1 150\n");
   EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST(DatasetTest, LoadRejectsNonNumericToken) {
+  const Status tweets =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_nan_tweets",
+                           "tweets.txt", "2\n0 100 1\n0 abc 2\n");
+  EXPECT_EQ(tweets.code(), StatusCode::kIoError) << tweets.ToString();
+  const Status retweets =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_nan_rt",
+                           "retweets.txt", "1\n0 1 150s\n");
+  EXPECT_EQ(retweets.code(), StatusCode::kIoError) << retweets.ToString();
+  const Status header =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_nan_header",
+                           "retweets.txt", "three\n0 1 150\n");
+  EXPECT_EQ(header.code(), StatusCode::kIoError) << header.ToString();
+}
+
+TEST(DatasetTest, LoadRejectsTrailingPartialRecord) {
+  // The last record stops after two of its three fields.
+  const Status tweets =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_partial_tweets",
+                           "tweets.txt", "2\n0 100 1\n0 200");
+  EXPECT_EQ(tweets.code(), StatusCode::kIoError) << tweets.ToString();
+  const Status retweets =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_partial_rt",
+                           "retweets.txt", "2\n0 1 150\n0 2\n");
+  EXPECT_EQ(retweets.code(), StatusCode::kIoError) << retweets.ToString();
+}
+
+TEST(DatasetTest, LoadRejectsInt32OverflowInUserFields) {
+  // Authors and retweeting users are 32-bit ids; 2^31 does not fit.
+  const Status author =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_big_author",
+                           "tweets.txt", "2\n2147483648 100 1\n0 200 2\n");
+  EXPECT_EQ(author.code(), StatusCode::kIoError) << author.ToString();
+  const Status user = LoadWithReplacedFile(
+      ::testing::TempDir() + "/simgraph_big_user", "retweets.txt",
+      "3\n0 1 150\n0 4294967297 160\n1 1 250\n");
+  EXPECT_EQ(user.code(), StatusCode::kIoError) << user.ToString();
+}
+
+TEST(DatasetTest, LoadRejectsLeadingPlusSign) {
+  // Fields parse with std::from_chars, which takes no '+' sign.
+  const Status status =
+      LoadWithReplacedFile(::testing::TempDir() + "/simgraph_plus_rt",
+                           "retweets.txt", "1\n0 +1 150\n");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST(DatasetTest, LoadAcceptsCrlfLineEndings) {
+  const std::string dir = ::testing::TempDir() + "/simgraph_crlf";
+  std::filesystem::create_directories(dir);
+  const auto write = [&](const std::string& file, const std::string& text) {
+    std::ofstream out(dir + "/" + file, std::ios::binary);
+    out << text;
+  };
+  write("graph.txt", "3 2 0\r\n1 0\r\n2 0\r\n");
+  write("tweets.txt", "2\r\n0 100 1\r\n0 200 2\r\n");
+  write("retweets.txt", "3\r\n0 1 150\r\n0 2 160\r\n1 1 250\r\n");
+  StatusOr<Dataset> loaded = LoadDataset(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Dataset want = TinyTrace();
+  EXPECT_EQ(loaded->follow_graph.num_edges(), 2);
+  EXPECT_TRUE(loaded->follow_graph.HasEdge(1, 0));
+  EXPECT_TRUE(loaded->follow_graph.HasEdge(2, 0));
+  ASSERT_EQ(loaded->num_tweets(), want.num_tweets());
+  EXPECT_EQ(loaded->tweets[1].time, 200);
+  EXPECT_EQ(loaded->tweets[1].topic, 2);
+  ASSERT_EQ(loaded->num_retweets(), want.num_retweets());
+  EXPECT_EQ(loaded->retweets[2].tweet, 1);
+  EXPECT_EQ(loaded->retweets[2].user, 1);
+  EXPECT_EQ(loaded->retweets[2].time, 250);
 }
 
 }  // namespace

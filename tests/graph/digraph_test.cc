@@ -1,10 +1,14 @@
 #include "graph/digraph.h"
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "util/random.h"
 
 namespace simgraph {
 namespace {
@@ -74,6 +78,64 @@ TEST(GraphBuilderTest, LastWeightWinsOnDuplicates) {
   const Digraph g = b.Build(/*weighted=*/true);
   EXPECT_EQ(g.num_edges(), 1);
   EXPECT_DOUBLE_EQ(g.EdgeWeight(0, 1), 0.75);
+}
+
+TEST(GraphBuilderTest, SortedAndShuffledInputBuildTheSameCsr) {
+  // Build skips its sort when the input is already in (src, dst) order.
+  // Feeding the same edges shuffled, and in stable (src, dst) order, must
+  // give one CSR, and in both the last occurrence of a duplicate wins.
+  struct E {
+    NodeId src;
+    NodeId dst;
+    double weight;
+  };
+  constexpr NodeId kNodes = 50;
+  std::vector<E> shuffled;
+  Rng rng(7);
+  for (int i = 0; i < 600; ++i) {
+    const auto src = static_cast<NodeId>(rng.NextBounded(kNodes));
+    auto dst = static_cast<NodeId>(rng.NextBounded(kNodes - 1));
+    if (dst >= src) ++dst;
+    shuffled.push_back(E{src, dst, static_cast<double>(i)});
+  }
+  std::vector<E> sorted = shuffled;
+  std::stable_sort(sorted.begin(), sorted.end(), [](const E& a, const E& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  ASSERT_NE(std::adjacent_find(sorted.begin(), sorted.end(),
+                               [](const E& a, const E& b) {
+                                 return a.src == b.src && a.dst == b.dst;
+                               }),
+            sorted.end())
+      << "the input must carry duplicates";
+
+  const auto build = [](const std::vector<E>& edges) {
+    GraphBuilder b(kNodes);
+    for (const E& e : edges) b.AddEdge(e.src, e.dst, e.weight);
+    return b.Build(/*weighted=*/true);
+  };
+  const Digraph from_shuffled = build(shuffled);
+  const Digraph from_sorted = build(sorted);
+
+  std::map<std::pair<NodeId, NodeId>, double> last;
+  for (const E& e : shuffled) last[{e.src, e.dst}] = e.weight;
+  ASSERT_EQ(from_shuffled.num_edges(), static_cast<int64_t>(last.size()));
+  ASSERT_EQ(from_sorted.num_edges(), static_cast<int64_t>(last.size()));
+  for (NodeId u = 0; u < kNodes; ++u) {
+    const auto a = from_shuffled.OutNeighbors(u);
+    const auto b = from_sorted.OutNeighbors(u);
+    ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
+              std::vector<NodeId>(b.begin(), b.end()));
+    const auto in_a = from_shuffled.InNeighbors(u);
+    const auto in_b = from_sorted.InNeighbors(u);
+    ASSERT_EQ(std::vector<NodeId>(in_a.begin(), in_a.end()),
+              std::vector<NodeId>(in_b.begin(), in_b.end()));
+    for (size_t i = 0; i < a.size(); ++i) {
+      const double want = last.at({u, a[i]});
+      EXPECT_EQ(from_shuffled.OutWeights(u)[i], want);
+      EXPECT_EQ(from_sorted.OutWeights(u)[i], want);
+    }
+  }
 }
 
 TEST(GraphBuilderDeathTest, RejectsSelfLoop) {

@@ -228,6 +228,69 @@ TEST(GraphIoTest, EdgeCountBeyondFileRejected) {
   std::remove(path.c_str());
 }
 
+// Writes `contents` to a temp file named `name` and reads it back as an
+// edge list.
+StatusOr<Digraph> ReadEdgeListText(const std::string& name,
+                                   const std::string& contents) {
+  const std::string path = TempPath(name);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << contents;
+  }
+  StatusOr<Digraph> loaded = ReadEdgeList(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(GraphIoTest, NonNumericTokenIsIoError) {
+  for (const std::string text :
+       {"3 1 0\n0 abc\n", "3 1 0\n0 1x\n", "3 x 0\n", "3 1 0\n0 0x1\n"}) {
+    const StatusOr<Digraph> loaded = ReadEdgeListText("non_numeric.txt", text);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << text;
+  }
+}
+
+TEST(GraphIoTest, TrailingPartialRecordIsIoError) {
+  // The last record stops after its source id.
+  const StatusOr<Digraph> unweighted =
+      ReadEdgeListText("partial.txt", "3 2 0\n0 1\n2");
+  ASSERT_FALSE(unweighted.ok());
+  EXPECT_EQ(unweighted.status().code(), StatusCode::kIoError);
+  const StatusOr<Digraph> weighted =
+      ReadEdgeListText("partial_w.txt", "3 2 1\n0 1 0.5\n1 2");
+  ASSERT_FALSE(weighted.ok());
+  EXPECT_EQ(weighted.status().code(), StatusCode::kIoError);
+}
+
+TEST(GraphIoTest, NonFiniteWeightIsIoError) {
+  for (const std::string weight : {"nan", "NaN", "-nan", "inf", "-inf",
+                                   "infinity", "1e999"}) {
+    const StatusOr<Digraph> loaded =
+        ReadEdgeListText("non_finite.txt", "2 1 1\n0 1 " + weight + "\n");
+    ASSERT_FALSE(loaded.ok()) << weight;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << weight;
+  }
+}
+
+TEST(GraphIoTest, LeadingPlusSignIsIoError) {
+  // Fields parse with std::from_chars, which takes no '+' sign.
+  const StatusOr<Digraph> loaded =
+      ReadEdgeListText("plus.txt", "3 1 0\n+0 1\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+TEST(GraphIoTest, CrlfLineEndingsLoad) {
+  const StatusOr<Digraph> loaded = ReadEdgeListText(
+      "crlf.txt", "3 3 1\r\n0 1 0.25\r\n1 2 0.5\r\n2 0 1e-3\r\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_edges(), 3);
+  EXPECT_EQ(loaded->EdgeWeight(0, 1), 0.25);
+  EXPECT_EQ(loaded->EdgeWeight(1, 2), 0.5);
+  EXPECT_EQ(loaded->EdgeWeight(2, 0), 1e-3);
+}
+
 TEST(BinaryGraphIoTest, RoundTripUnweighted) {
   GraphBuilder b(5);
   b.AddEdge(0, 1);

@@ -59,6 +59,39 @@ if "$DIFF" "$TMP/base.json" "$TMP/slow.json" --threshold=0.5 \
   exit 1
 fi
 
+echo "== throughput is judged by ratio: 3.5x slower fails at --threshold=2.0 =="
+sed 's/"req_per_s": 1000.0/"req_per_s": 285.0/' "$TMP/base.json" \
+  > "$TMP/collapse.json"
+if "$DIFF" "$TMP/base.json" "$TMP/collapse.json" --threshold=2.0 \
+    2>/dev/null; then
+  echo "throughput collapse passed a 2.0 threshold" >&2
+  exit 1
+fi
+
+echo "== ... and 2.5x slower passes it =="
+sed 's/"req_per_s": 1000.0/"req_per_s": 400.0/' "$TMP/base.json" \
+  > "$TMP/halved.json"
+"$DIFF" "$TMP/base.json" "$TMP/halved.json" --threshold=2.0
+
+echo "== zero throughput fails at any threshold =="
+sed 's/"req_per_s": 1000.0/"req_per_s": 0.0/' "$TMP/base.json" \
+  > "$TMP/zero.json"
+if "$DIFF" "$TMP/base.json" "$TMP/zero.json" --threshold=100 2>/dev/null
+then
+  echo "zero throughput passed" >&2
+  exit 1
+fi
+
+echo "== latency keeps its ratio: 3.5x fails at 2.0, 2.5x passes =="
+sed 's/"p99": 900.0/"p99": 3150.0/' "$TMP/base.json" > "$TMP/lat35.json"
+if "$DIFF" "$TMP/base.json" "$TMP/lat35.json" --threshold=2.0 2>/dev/null
+then
+  echo "3.5x latency passed a 2.0 threshold" >&2
+  exit 1
+fi
+sed 's/"p99": 900.0/"p99": 2250.0/' "$TMP/base.json" > "$TMP/lat25.json"
+"$DIFF" "$TMP/base.json" "$TMP/lat25.json" --threshold=2.0
+
 echo "== vanished metric fails, and every difference is reported =="
 sed -e 's/"hit_rate": 0.5,//' -e 's/"queue_depth_max": 32/"queue_depth_max": 32, "new_counter": 7/' \
     "$TMP/base.json" > "$TMP/keys.json"

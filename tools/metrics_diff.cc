@@ -8,8 +8,11 @@
 // bench summaries (bench_serving_load's BENCH_serving.json): arbitrary
 // JSON objects whose numeric leaves are flattened to dotted paths, e.g.
 // histograms.serve.request.seconds.p99. Each numeric leaf present in
-// both snapshots is compared by relative change; a change past the
-// metric's threshold in its *bad* direction is a regression.
+// both snapshots is compared by how many times worse the candidate is
+// in the leaf's *bad* direction: cand/base - 1 for lower-is-better,
+// base/cand - 1 for higher-is-better. Past the metric's threshold it is
+// a regression, so --threshold=2.0 fails a latency that triples and a
+// throughput that falls to a third alike.
 //
 // The key sets must match: every baseline key missing from the
 // candidate and every candidate key absent from the baseline is
@@ -34,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -188,16 +192,23 @@ int main(int argc, char** argv) {
       continue;
     }
     const double rel = (cand - base) / base;
+    // How much worse the candidate is, as a ratio in the bad direction:
+    // cand/base - 1 for lower-is-better, base/cand - 1 for
+    // higher-is-better. A relative drop never passes -100%, so judging a
+    // throughput leaf by `rel` would let no threshold >= 1 catch it.
+    const double worse =
+        direction == Direction::kLowerIsBetter
+            ? rel
+            : (cand > 0.0 ? base / cand - 1.0
+                          : std::numeric_limits<double>::infinity());
     const double threshold = ThresholdFor(name, rules, default_threshold);
-    const bool bad = direction == Direction::kLowerIsBetter
-                         ? rel > threshold
-                         : rel < -threshold;
-    if (bad) {
+    if (worse > threshold) {
       ++regressions;
       std::fprintf(stderr,
-                   "REGRESSION %s: %.6g -> %.6g (%+.1f%%, threshold "
-                   "%.1f%%, %s is better)\n",
-                   name.c_str(), base, cand, rel * 100.0, threshold * 100.0,
+                   "REGRESSION %s: %.6g -> %.6g (%+.1f%%, %.3gx worse, "
+                   "threshold %.3gx, %s is better)\n",
+                   name.c_str(), base, cand, rel * 100.0, 1.0 + worse,
+                   1.0 + threshold,
                    direction == Direction::kLowerIsBetter ? "lower"
                                                           : "higher");
     }

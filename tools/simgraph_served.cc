@@ -62,7 +62,10 @@
 //
 // Prints "listening on port P" once ready — harnesses parse this line to
 // find an ephemeral port. With --replication-port it also prints
-// "replication on port R".
+// "replication on port R". Just before, it prints one line to stderr,
+// "startup: load_s=L train_s=T total_s=S" (dataset load, Train, and
+// main() to the listening socket; tools/startup_report.h), and sets the
+// serve.startup.{load,train}_seconds gauges.
 
 #include <chrono>
 #include <iostream>
@@ -71,6 +74,7 @@
 #include <string>
 
 #include "simgraph/simgraph.h"
+#include "startup_report.h"
 
 namespace simgraph {
 namespace {
@@ -132,6 +136,7 @@ std::unique_ptr<serve::ServingRecommender> MakeBaseline(
 }
 
 int Run(int argc, char** argv) {
+  const WallTimer startup;
   const auto flags = ParseFlags(argc, argv);
   const std::string metrics_path = FlagString(flags, "metrics-json");
   const std::string trace_path = FlagString(flags, "trace-json");
@@ -156,6 +161,7 @@ int Run(int argc, char** argv) {
     flusher->Start();
   }
 
+  WallTimer phase;
   Dataset dataset;
   const std::string data_dir = FlagString(flags, "data");
   if (!data_dir.empty()) {
@@ -173,6 +179,7 @@ int Run(int argc, char** argv) {
         FlagInt(flags, "seed", static_cast<int64_t>(config.seed)));
     dataset = GenerateDataset(config);
   }
+  const double load_s = phase.ElapsedSeconds();
   const double train_fraction = FlagDouble(flags, "train", 0.9);
   const int64_t train_end = dataset.SplitIndex(train_fraction);
 
@@ -237,6 +244,7 @@ int Run(int argc, char** argv) {
   std::unique_ptr<serve::RecommendationService> single;
   serve::ServingBackend* service = nullptr;
   Status trained;
+  phase.Restart();
   if (simgraph) {
     serve::ServingSimGraphOptions simgraph_options;
     simgraph_options.snapshot_refresh_events =
@@ -251,6 +259,7 @@ int Run(int argc, char** argv) {
     trained = single->Train(dataset, train_end);
     service = single.get();
   }
+  const double train_s = phase.ElapsedSeconds();
   if (!trained.ok()) {
     std::cerr << trained.ToString() << "\n";
     return 1;
@@ -292,6 +301,7 @@ int Run(int argc, char** argv) {
     std::cerr << started.ToString() << "\n";
     return 1;
   }
+  ReportStartup(load_s, train_s, startup.ElapsedSeconds());
   const int32_t num_shards = sharded != nullptr ? sharded->num_shards() : 1;
   std::cout << "serving " << method << " over " << dataset.num_users()
             << " users (" << train_end << " train events, " << num_shards

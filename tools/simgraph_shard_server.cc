@@ -28,7 +28,9 @@
 //                   [--metrics-json PATH]
 //
 // Prints "listening on port P" once ready (same convention as
-// simgraph_served), preceded by one "replica ... joined ..." line.
+// simgraph_served), preceded by one "replica ... joined ..." line and,
+// on stderr, one "startup: load_s=L train_s=T total_s=S" line (the
+// serve.startup.{load,train}_seconds gauges carry the same figures).
 // Runs until stdin reaches EOF. The process stays up — still serving
 // reads — if the builder goes away; that is what a replica is for.
 
@@ -38,6 +40,7 @@
 #include <string>
 
 #include "simgraph/simgraph.h"
+#include "startup_report.h"
 
 namespace simgraph {
 namespace {
@@ -82,6 +85,7 @@ std::string FlagString(const std::map<std::string, std::string>& flags,
 }
 
 int Run(int argc, char** argv) {
+  const WallTimer startup;
   const auto flags = ParseFlags(argc, argv);
   const std::string metrics_path = FlagString(flags, "metrics-json");
   if (!metrics_path.empty()) metrics::SetEnabled(true);
@@ -92,6 +96,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
+  WallTimer phase;
   Dataset dataset;
   const std::string data_dir = FlagString(flags, "data");
   if (!data_dir.empty()) {
@@ -109,6 +114,7 @@ int Run(int argc, char** argv) {
         FlagInt(flags, "seed", static_cast<int64_t>(config.seed)));
     dataset = GenerateDataset(config);
   }
+  const double load_s = phase.ElapsedSeconds();
   const int64_t train_end = dataset.SplitIndex(FlagDouble(flags, "train", 0.9));
 
   // Phase 1: handshake. Runs before the service exists because the
@@ -151,7 +157,9 @@ int Run(int argc, char** argv) {
   service_options.deadline =
       std::chrono::microseconds(FlagInt(flags, "deadline-us", 0));
   serve::RecommendationService service(std::move(applier), service_options);
+  phase.Restart();
   const Status trained = service.Train(dataset, train_end);
+  const double train_s = phase.ElapsedSeconds();
   if (!trained.ok()) {
     std::cerr << trained.ToString() << "\n";
     return 1;
@@ -170,6 +178,7 @@ int Run(int argc, char** argv) {
     std::cerr << started.ToString() << "\n";
     return 1;
   }
+  ReportStartup(load_s, train_s, startup.ElapsedSeconds());
   std::cout << "replica " << client_options.name << " joined (builder seq "
             << bootstrap.built_seq << ", graph epoch "
             << bootstrap.graph_epoch << ", " << bootstrap.graph_edges
