@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
   table.SetHeader({"floor", "hits", "capacity (recs/day/user)", "precision",
                    "F1"});
   for (double floor : {0.0, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3}) {
-    SimGraphRecommenderOptions opts;
+    serve::ServingSimGraphOptions opts;
     opts.graph = BenchSimGraphOptions();
     opts.propagation.dynamic.enabled = true;
     opts.min_deposit_score = floor;
-    SimGraphRecommender rec(opts);
+    serve::SimGraphServingRecommender rec(opts);
     SweepOptions sopts;
     sopts.k_grid = {30};
     const std::vector<EvalResult> r =

@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
     const SimGraph sg = BuildSimGraph(d.follow_graph, profiles, gopts);
     const double build_seconds = build_timer.ElapsedSeconds();
 
-    SimGraphRecommenderOptions ropts;
+    serve::ServingSimGraphOptions ropts;
     ropts.graph = gopts;
-    SimGraphRecommender rec(ropts);
+    serve::SimGraphServingRecommender rec(ropts);
     const EvalResult result = RunEvaluation(d, protocol, rec, hopts);
     table.AddRow({TableWriter::Cell(tau),
                   TableWriter::Cell(sg.graph.num_edges()),

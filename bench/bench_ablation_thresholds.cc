@@ -104,10 +104,10 @@ int main(int argc, char** argv) {
   for (Timestamp delta :
        {Timestamp{0}, 1 * kSecondsPerHour, 6 * kSecondsPerHour,
         24 * kSecondsPerHour}) {
-    SimGraphRecommenderOptions ropts;
+    serve::ServingSimGraphOptions ropts;
     ropts.graph = BenchSimGraphOptions();
     ropts.postpone_delta = delta;
-    SimGraphRecommender recommender(ropts);
+    serve::SimGraphServingRecommender recommender(ropts);
     HarnessOptions hopts;
     hopts.k = 30;
     const EvalResult result = RunEvaluation(d, protocol, recommender, hopts);

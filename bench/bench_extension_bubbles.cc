@@ -6,6 +6,7 @@
 // escape-boost rescoring on that locality.
 
 #include <iostream>
+#include <memory>
 
 #include "bench/common.h"
 
@@ -18,23 +19,24 @@ int main(int argc, char** argv) {
   const Dataset& d = BenchDataset();
   const EvalProtocol& protocol = BenchProtocol();
 
-  SimGraphRecommenderOptions ropts;
+  serve::ServingSimGraphOptions ropts;
   ropts.graph = BenchSimGraphOptions();
-  SimGraphRecommender rec(ropts);
+  serve::SimGraphServingRecommender rec(ropts);
   SIMGRAPH_CHECK_OK(rec.Train(d, protocol.train_end));
   for (int64_t i = protocol.train_end; i < d.num_retweets(); ++i) {
     rec.Observe(d.retweets[static_cast<size_t>(i)]);
   }
 
+  const std::shared_ptr<const SimGraph> sim_graph = rec.GraphSnapshot();
   const BubbleAssignment bubbles =
-      DetectBubbles(rec.sim_graph().graph, BubbleOptions{});
+      DetectBubbles(sim_graph->graph, BubbleOptions{});
   std::vector<int64_t> sizes = bubbles.BubbleSizes();
   std::sort(sizes.rbegin(), sizes.rend());
   std::cout << "bubbles detected: " << bubbles.num_bubbles
             << "; largest: " << bubbles.LargestBubble()
             << "; intra-bubble edge fraction: "
             << TableWriter::Cell(
-                   IntraBubbleEdgeFraction(rec.sim_graph().graph, bubbles))
+                   IntraBubbleEdgeFraction(sim_graph->graph, bubbles))
             << "\n";
   std::cout << "top bubble sizes:";
   for (size_t i = 0; i < std::min<size_t>(sizes.size(), 8); ++i) {

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   table.SetHeader({"fallback", "cold users", "covered warm", "covered cold",
                    "total covered"});
   for (bool fallback : {false, true}) {
-    SimGraphRecommenderOptions ropts;
+    serve::ServingSimGraphOptions ropts;
     ropts.graph = BenchSimGraphOptions();
     ropts.cold_start_fallback = fallback;
-    SimGraphRecommender rec(ropts);
+    serve::SimGraphServingRecommender rec(ropts);
     SIMGRAPH_CHECK_OK(rec.Train(d, protocol.train_end));
     for (int64_t i = protocol.train_end; i < d.num_retweets(); ++i) {
       rec.Observe(d.retweets[static_cast<size_t>(i)]);

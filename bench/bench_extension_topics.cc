@@ -7,6 +7,7 @@
 // graph and "enhances results for small users".
 
 #include <iostream>
+#include <memory>
 
 #include "bench/common.h"
 
@@ -25,13 +26,16 @@ int main(int argc, char** argv) {
   hopts.k = 30;
 
   // A recommender whose Train swaps in the hybrid graph.
-  class HybridRecommender : public SimGraphRecommender {
+  class HybridRecommender : public serve::SimGraphServingRecommender {
    public:
-    HybridRecommender(double alpha, SimGraphRecommenderOptions options)
-        : SimGraphRecommender(options), alpha_(alpha), options_(options) {}
+    HybridRecommender(double alpha, serve::ServingSimGraphOptions options)
+        : serve::SimGraphServingRecommender(options),
+          alpha_(alpha),
+          options_(options) {}
     std::string name() const override { return "SimGraph+topics"; }
     Status Train(const Dataset& dataset, int64_t train_end) override {
-      SIMGRAPH_RETURN_IF_ERROR(SimGraphRecommender::Train(dataset, train_end));
+      SIMGRAPH_RETURN_IF_ERROR(
+          serve::SimGraphServingRecommender::Train(dataset, train_end));
       if (alpha_ > 0.0) {
         ProfileStore p(dataset, train_end);
         TopicProfileStore t(dataset, train_end);
@@ -45,14 +49,14 @@ int main(int argc, char** argv) {
 
    private:
     double alpha_;
-    SimGraphRecommenderOptions options_;
+    serve::ServingSimGraphOptions options_;
   };
 
   TableWriter table("Topic blending: density, coverage, quality (k=30)");
   table.SetHeader({"alpha", "edges", "present users", "hits", "hits (low)",
                    "F1"});
   for (double alpha : {0.0, 0.15, 0.3}) {
-    SimGraphRecommenderOptions ropts;
+    serve::ServingSimGraphOptions ropts;
     ropts.graph = BenchSimGraphOptions();
     // Same gating as the main evaluation sweep; the hybrid graph is much
     // denser, so the thresholds matter for runtime too.
@@ -62,9 +66,10 @@ int main(int argc, char** argv) {
     // same tau for a fair density comparison.
     HybridRecommender rec(alpha, ropts);
     const EvalResult result = RunEvaluation(d, protocol, rec, hopts);
+    const std::shared_ptr<const SimGraph> sim_graph = rec.GraphSnapshot();
     table.AddRow({TableWriter::Cell(alpha),
-                  TableWriter::Cell(rec.sim_graph().graph.num_edges()),
-                  TableWriter::Cell(rec.sim_graph().NumPresentNodes()),
+                  TableWriter::Cell(sim_graph->graph.num_edges()),
+                  TableWriter::Cell(sim_graph->NumPresentNodes()),
                   TableWriter::Cell(result.hits_total),
                   TableWriter::Cell(result.hits_low),
                   TableWriter::Cell(result.f1)});

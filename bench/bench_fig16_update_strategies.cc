@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
                                              BenchSimGraphOptions());
     const double build_seconds = build_timer.ElapsedSeconds();
 
-    SimGraphRecommenderOptions ropts;
+    serve::ServingSimGraphOptions ropts;
     ropts.graph = BenchSimGraphOptions();
-    UpdateStrategyRecommender recommender(strategy, old_end, ropts);
+    serve::UpdateStrategyRecommender recommender(strategy, old_end, ropts);
     const EvalResult result = RunEvaluation(d, protocol, recommender, hopts);
     table.AddRow({std::string(UpdateStrategyName(strategy)),
                   TableWriter::Cell(graph.graph.num_edges()),

@@ -18,7 +18,7 @@ std::string CacheDir() {
 // A key identifying everything that affects the sweep results.
 std::string ConfigKey(const DatasetConfig& c) {
   std::ostringstream key;
-  key << "v7_u" << c.num_users << "_t" << c.num_tweets << "_h"
+  key << "v8_u" << c.num_users << "_t" << c.num_tweets << "_h"
       << c.horizon_days << "_s" << c.seed << "_b" << c.base_retweet_prob
       << "_hl" << c.freshness_halflife_hours;
   for (int32_t k : KGrid()) key << "_k" << k;
@@ -132,6 +132,20 @@ ProtocolOptions BenchProtocolOptions() {
   return o;
 }
 
+std::unique_ptr<Recommender> MakeBenchSimGraph() {
+  serve::ServingSimGraphOptions options;
+  options.graph = BenchSimGraphOptions();
+  // The paper evaluates SimGraph with its propagation thresholds active
+  // (Section 6.2 credits the capacity cap to "thresholds during the
+  // propagation").
+  options.propagation.dynamic.enabled = true;
+  // Score floor: propagated probabilities below this are bookkeeping,
+  // not recommendations (keeps precision honest without starving hits;
+  // see bench_ablation_deposit_floor for the full trade-off curve).
+  options.min_deposit_score = 3e-5;
+  return std::make_unique<serve::SimGraphServingRecommender>(options);
+}
+
 std::vector<int32_t> KGrid() {
   return {10, 20, 30, 40, 60, 80, 120, 160, 200};
 }
@@ -175,17 +189,7 @@ const std::vector<MethodSweep>& EvalSweeps() {
     sopts.k_grid = KGrid();
 
     std::vector<std::unique_ptr<Recommender>> methods;
-    SimGraphRecommenderOptions simgraph_opts;
-    simgraph_opts.graph = BenchSimGraphOptions();
-    // The paper evaluates SimGraph with its propagation thresholds active
-    // (Section 6.2 credits the capacity cap to "thresholds during the
-    // propagation").
-    simgraph_opts.propagation.dynamic.enabled = true;
-    // Score floor: propagated probabilities below this are bookkeeping,
-    // not recommendations (keeps precision honest without starving hits;
-    // see bench_ablation_deposit_floor for the full trade-off curve).
-    simgraph_opts.min_deposit_score = 3e-5;
-    methods.push_back(std::make_unique<SimGraphRecommender>(simgraph_opts));
+    methods.push_back(MakeBenchSimGraph());
     CfOptions cf_opts;
     cf_opts.init_mode = CfInitMode::kAllPairs;  // the paper's |V|^2 init
     // The paper's CF keeps every similar user, not a top-M cut — that
@@ -217,9 +221,6 @@ const std::vector<MethodSweep>& EvalSweeps() {
   return *sweeps;
 }
 
-namespace {
-
-// Accepts "--flag=VALUE"; returns VALUE or "" when absent.
 std::string FlagValue(int argc, char** argv, const std::string& flag) {
   const std::string prefix = "--" + flag + "=";
   for (int i = 1; i < argc; ++i) {
@@ -228,8 +229,6 @@ std::string FlagValue(int argc, char** argv, const std::string& flag) {
   }
   return "";
 }
-
-}  // namespace
 
 ObservabilityGuard::ObservabilityGuard(int argc, char** argv) {
   metrics_path_ = FlagValue(argc, argv, "metrics-json");

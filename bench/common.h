@@ -1,6 +1,7 @@
 #ifndef SIMGRAPH_BENCH_COMMON_H_
 #define SIMGRAPH_BENCH_COMMON_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,9 @@ SimGraphOptions BenchSimGraphOptions();
 /// Panel options matching the paper's 3 x 500 protocol, scaled.
 ProtocolOptions BenchProtocolOptions();
 
+/// SimGraph as the evaluation sweep (Figures 7-15, Table 5) runs it.
+std::unique_ptr<Recommender> MakeBenchSimGraph();
+
 /// The daily-budget grid of Figures 7-15.
 std::vector<int32_t> KGrid();
 
@@ -41,6 +45,9 @@ struct MethodSweep {
 /// Sweeps all four methods over KGrid(), caching results on disk (keyed by
 /// the configuration) so the six figure binaries share one run.
 const std::vector<MethodSweep>& EvalSweeps();
+
+/// Accepts "--flag=VALUE" among argv; returns VALUE or "" when absent.
+std::string FlagValue(int argc, char** argv, const std::string& flag);
 
 /// Prints a standard experiment preamble (dataset shape, split, panel).
 void PrintPreamble(const std::string& experiment);

@@ -8,6 +8,7 @@
 // Run: ./beyond_the_bubble
 
 #include <iostream>
+#include <memory>
 
 #include "simgraph/simgraph.h"
 
@@ -41,10 +42,10 @@ int main() {
             << " present users  <- topic blending densifies\n\n";
 
   // --- 2. cold-start fallback (Section 4.1) ----------------------------
-  SimGraphRecommenderOptions ropts;
+  serve::ServingSimGraphOptions ropts;
   ropts.graph = plain_opts;
   ropts.cold_start_fallback = true;
-  SimGraphRecommender rec(ropts);
+  serve::SimGraphServingRecommender rec(ropts);
   SIMGRAPH_CHECK_OK(rec.Train(dataset, train_end));
   for (int64_t i = train_end; i < dataset.num_retweets(); ++i) {
     rec.Observe(dataset.retweets[static_cast<size_t>(i)]);
@@ -61,12 +62,13 @@ int main() {
             << " now served via their followees' feeds\n\n";
 
   // --- 3. bubbles and escape (future work #2) --------------------------
+  const std::shared_ptr<const SimGraph> sim_graph = rec.GraphSnapshot();
   const BubbleAssignment bubbles =
-      DetectBubbles(rec.sim_graph().graph, BubbleOptions{});
+      DetectBubbles(sim_graph->graph, BubbleOptions{});
   std::cout << bubbles.num_bubbles << " bubbles on the SimGraph; largest "
             << bubbles.LargestBubble() << " users; intra-bubble edges: "
             << TableWriter::Cell(
-                   IntraBubbleEdgeFraction(rec.sim_graph().graph, bubbles))
+                   IntraBubbleEdgeFraction(sim_graph->graph, bubbles))
             << "\n";
   std::vector<UserId> author_of;
   for (const Tweet& t : dataset.tweets) author_of.push_back(t.author);

@@ -34,10 +34,11 @@ int main() {
   HarnessOptions hopts;
   hopts.k = static_cast<int32_t>(GetEnvInt64("SIMGRAPH_K", 30));
 
-  SimGraphRecommenderOptions sopts;
+  serve::ServingSimGraphOptions sopts;
   sopts.graph.tau = 0.002;
   std::vector<std::unique_ptr<Recommender>> methods;
-  methods.push_back(std::make_unique<SimGraphRecommender>(sopts));
+  methods.push_back(
+      std::make_unique<serve::SimGraphServingRecommender>(sopts));
   methods.push_back(std::make_unique<CfRecommender>());
   methods.push_back(std::make_unique<GraphJetRecommender>());
   methods.push_back(std::make_unique<BayesRecommender>());

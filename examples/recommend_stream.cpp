@@ -10,6 +10,7 @@
 //      SIMGRAPH_USERS=5000 ./recommend_stream
 
 #include <iostream>
+#include <memory>
 
 #include "simgraph/simgraph.h"
 
@@ -29,10 +30,10 @@ int main() {
             << " retweet actions over " << config.horizon_days << " days\n\n";
 
   const int64_t train_end = dataset.SplitIndex(0.9);
-  SimGraphRecommenderOptions options;
+  serve::ServingSimGraphOptions options;
   options.graph.tau = 0.002;
   options.propagation.dynamic.enabled = true;  // popularity-aware threshold
-  SimGraphRecommender recommender(options);
+  serve::SimGraphServingRecommender recommender(options);
 
   WallTimer train_timer;
   const Status trained = recommender.Train(dataset, train_end);
@@ -40,10 +41,12 @@ int main() {
     std::cerr << "training failed: " << trained.ToString() << "\n";
     return 1;
   }
+  const std::shared_ptr<const SimGraph> sim_graph =
+      recommender.GraphSnapshot();
   std::cout << "Trained in " << FormatDuration(train_timer.ElapsedSeconds())
-            << ": SimGraph has " << recommender.sim_graph().NumPresentNodes()
-            << " present users and "
-            << recommender.sim_graph().graph.num_edges() << " edges\n\n";
+            << ": SimGraph has " << sim_graph->NumPresentNodes()
+            << " present users and " << sim_graph->graph.num_edges()
+            << " edges\n\n";
 
   // Pick the three most active users as our demo audience.
   const std::vector<int32_t> counts = dataset.RetweetCountPerUser();

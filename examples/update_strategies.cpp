@@ -51,9 +51,9 @@ int main() {
         BuildWithStrategy(strategy, dataset, old_end, new_end, gopts);
     const double build_seconds = build_timer.ElapsedSeconds();
 
-    SimGraphRecommenderOptions ropts;
+    serve::ServingSimGraphOptions ropts;
     ropts.graph = gopts;
-    UpdateStrategyRecommender recommender(strategy, old_end, ropts);
+    serve::UpdateStrategyRecommender recommender(strategy, old_end, ropts);
     const EvalResult result =
         RunEvaluation(dataset, protocol, recommender, hopts);
     table.AddRow({std::string(UpdateStrategyName(strategy)),

@@ -1,11 +1,10 @@
 #ifndef SIMGRAPH_CORE_UPDATE_H_
 #define SIMGRAPH_CORE_UPDATE_H_
 
-#include <string>
 #include <string_view>
 
 #include "core/simgraph.h"
-#include "core/simgraph_recommender.h"
+#include "core/similarity.h"
 #include "dataset/dataset.h"
 
 namespace simgraph {
@@ -42,25 +41,6 @@ SimGraph BuildWithStrategy(UpdateStrategy strategy, const Dataset& dataset,
 /// keeping the topology fixed (the kWeightUpdate primitive, exposed for
 /// testing).
 SimGraph RecomputeWeights(const SimGraph& graph, const ProfileStore& profiles);
-
-/// A SimGraphRecommender whose similarity graph is produced by an update
-/// strategy instead of a plain from-scratch build: Train(dataset, end)
-/// first trains normally, then swaps in BuildWithStrategy(strategy,
-/// dataset, old_end, end). Lets the Figure 16 study run through the
-/// standard evaluation harness (which owns the Train call).
-class UpdateStrategyRecommender : public SimGraphRecommender {
- public:
-  UpdateStrategyRecommender(UpdateStrategy strategy, int64_t old_end,
-                            SimGraphRecommenderOptions options);
-
-  std::string name() const override;
-  Status Train(const Dataset& dataset, int64_t train_end) override;
-
- private:
-  UpdateStrategy strategy_;
-  int64_t old_end_;
-  SimGraphOptions graph_options_;
-};
 
 }  // namespace simgraph
 

@@ -18,12 +18,10 @@ constexpr int64_t kDeadlineCheckStride = 128;
 }  // namespace
 
 Status CandidateState::Init(const Dataset& dataset, int64_t train_end,
-                            Timestamp freshness_window,
-                            int32_t num_stripes) {
+                            Timestamp freshness_window) {
   if (train_end < 0 || train_end > dataset.num_retweets()) {
     return Status::InvalidArgument("train_end out of range");
   }
-  SIMGRAPH_CHECK_GT(num_stripes, 0);
   num_users_ = dataset.num_users();
 
   std::vector<Timestamp> tweet_times;
@@ -35,8 +33,7 @@ Status CandidateState::Init(const Dataset& dataset, int64_t train_end,
 
   stripes_.clear();
   const size_t stripe_count = std::min<size_t>(
-      static_cast<size_t>(num_stripes),
-      std::max<size_t>(1, static_cast<size_t>(num_users_)));
+      kNumStripes, std::max<size_t>(1, static_cast<size_t>(num_users_)));
   stripes_.reserve(stripe_count);
   for (size_t i = 0; i < stripe_count; ++i) {
     stripes_.push_back(std::make_unique<std::shared_mutex>());
@@ -52,6 +49,11 @@ Status CandidateState::Init(const Dataset& dataset, int64_t train_end,
 void CandidateState::MarkConsumed(UserId user, TweetId tweet) {
   std::unique_lock<std::shared_mutex> lock(StripeOf(user));
   store_->MarkConsumed(user, tweet);
+}
+
+bool CandidateState::IsConsumed(UserId user, TweetId tweet) const {
+  std::shared_lock<std::shared_mutex> lock(StripeOf(user));
+  return store_->IsConsumed(user, tweet);
 }
 
 bool CandidateState::Deposit(UserId user, TweetId tweet, double score) {

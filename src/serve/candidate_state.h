@@ -31,18 +31,24 @@ namespace serve {
 /// shared for reads.
 class CandidateState {
  public:
+  /// Lock stripes over users (fewer when there are fewer users).
+  static constexpr size_t kNumStripes = 64;
+
   /// Builds the store over the dataset's tweet catalogue, creates
-  /// min(num_stripes, num_users) stripes, and marks every training
+  /// min(kNumStripes, num_users) stripes, and marks every training
   /// retweet consumed — the state every replica starts from. Image-backed
   /// datasets report their population via Dataset::num_users_hint.
   Status Init(const Dataset& dataset, int64_t train_end,
-              Timestamp freshness_window, int32_t num_stripes);
+              Timestamp freshness_window);
 
   bool initialized() const { return store_ != nullptr; }
   int32_t num_users() const { return num_users_; }
 
   /// Marks `user` consumed `tweet` (never recommended to them again).
   void MarkConsumed(UserId user, TweetId tweet);
+
+  /// True when `user` consumed `tweet`; takes the user's stripe shared.
+  bool IsConsumed(UserId user, TweetId tweet) const;
 
   /// Raises the stored score (max-merge); true when it actually changed.
   bool Deposit(UserId user, TweetId tweet, double score);

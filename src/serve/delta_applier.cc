@@ -10,9 +10,7 @@ namespace simgraph {
 namespace serve {
 
 DeltaApplierRecommender::DeltaApplierRecommender(DeltaApplierOptions options)
-    : options_(options) {
-  SIMGRAPH_CHECK_GT(options_.num_stripes, 0);
-}
+    : options_(options) {}
 
 Status DeltaApplierRecommender::Train(const Dataset& dataset,
                                       int64_t train_end) {
@@ -21,8 +19,7 @@ Status DeltaApplierRecommender::Train(const Dataset& dataset,
     return Status::InvalidArgument(
         "dataset population disagrees with the pinned graph image");
   }
-  return state_.Init(dataset, train_end, options_.freshness_window,
-                     options_.num_stripes);
+  return state_.Init(dataset, train_end, options_.freshness_window);
 }
 
 void DeltaApplierRecommender::SeedSnapshot(

@@ -21,7 +21,6 @@ namespace serve {
 /// replica's answers diverge from the builder's state.
 struct DeltaApplierOptions {
   Timestamp freshness_window = 72 * kSecondsPerHour;
-  int32_t num_stripes = 64;
   /// When serving image-backed (docs/store.md), every applier shard pins
   /// the SAME shared mmap'd graph image here — shards never decode it on
   /// the hot path (deltas carry everything they replay), but pinning

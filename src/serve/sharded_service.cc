@@ -16,10 +16,9 @@ ShardedService::ShardedService(const ServingSimGraphOptions& simgraph_options,
   source_ =
       std::make_unique<SimGraphServingRecommender>(simgraph_options);
   // Applier-side candidate state must mirror the builder's exactly —
-  // same freshness window, same stripe count — or replay diverges.
+  // same freshness window — or replay diverges.
   DeltaApplierOptions applier_options;
   applier_options.freshness_window = simgraph_options.freshness_window;
-  applier_options.num_stripes = simgraph_options.num_stripes;
   // Image-backed serving: every shard pins the builder's shared mmap'd
   // graph image — one image per process, never per-shard copies.
   applier_options.graph_image = simgraph_options.graph_image;

@@ -1,6 +1,8 @@
 #include "serve/simgraph_serving_recommender.h"
 
 #include <algorithm>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "util/logging.h"
@@ -10,13 +12,18 @@
 
 namespace simgraph {
 namespace serve {
+namespace {
+
+/// Stale candidates are evicted every this many observed events.
+constexpr int64_t kEvictEvery = 50000;
+/// Cap on the followees consulted for a cold-start query.
+constexpr int64_t kColdStartMaxFollowees = 30;
+
+}  // namespace
 
 SimGraphServingRecommender::SimGraphServingRecommender(
     ServingSimGraphOptions options)
-    : options_(std::move(options)) {
-  SIMGRAPH_CHECK_GT(options_.num_stripes, 0);
-  SIMGRAPH_CHECK_GT(options_.evict_every, 0);
-}
+    : options_(std::move(options)) {}
 
 Status SimGraphServingRecommender::Train(const Dataset& dataset,
                                          int64_t train_end) {
@@ -34,6 +41,7 @@ Status SimGraphServingRecommender::Train(const Dataset& dataset,
         "dataset population disagrees with the bound graph image");
   }
   num_users_ = follow_graph.num_nodes();
+  follow_graph_ = &follow_graph;
   incremental_ =
       std::make_unique<IncrementalSimGraph>(follow_graph, options_.graph);
   SIMGRAPH_RETURN_IF_ERROR(incremental_->Initialize(dataset, train_end));
@@ -42,13 +50,12 @@ Status SimGraphServingRecommender::Train(const Dataset& dataset,
   tweet_author_.clear();
   tweet_author_.reserve(dataset.tweets.size());
   for (const Tweet& t : dataset.tweets) tweet_author_.push_back(t.author);
-  SIMGRAPH_RETURN_IF_ERROR(state_.Init(dataset, train_end,
-                                       options_.freshness_window,
-                                       options_.num_stripes));
+  SIMGRAPH_RETURN_IF_ERROR(
+      state_.Init(dataset, train_end, options_.freshness_window));
 
-  // Mirror SimGraphRecommender::Train: training retweets are consumed
-  // (CandidateState::Init did that), and seed sets of tweets still fresh
-  // at the split carry over.
+  // A user is never recommended a post they already shared (training
+  // retweets are consumed by CandidateState::Init); seed sets of tweets
+  // still fresh at the split carry over into the test period.
   const Timestamp split_time =
       train_end > 0 ? dataset.retweets[static_cast<size_t>(train_end - 1)].time
                     : 0;
@@ -68,7 +75,18 @@ Status SimGraphServingRecommender::Train(const Dataset& dataset,
 
 void SimGraphServingRecommender::RefreshSnapshot() {
   SIMGRAPH_TRACE_SPAN("SimGraphServingRecommender::RefreshSnapshot", "serve");
-  auto snapshot = std::make_shared<const SimGraph>(incremental_->Snapshot());
+  PublishSnapshot(std::make_shared<const SimGraph>(incremental_->Snapshot()));
+}
+
+void SimGraphServingRecommender::ReplaceSimGraph(SimGraph sim_graph) {
+  SIMGRAPH_CHECK(state_.initialized()) << "Train must be called first";
+  SIMGRAPH_CHECK_EQ(options_.snapshot_refresh_events, 0)
+      << "a snapshot refresh would overwrite the replaced graph";
+  PublishSnapshot(std::make_shared<const SimGraph>(std::move(sim_graph)));
+}
+
+void SimGraphServingRecommender::PublishSnapshot(
+    std::shared_ptr<const SimGraph> snapshot) {
   auto propagator = std::make_unique<Propagator>(*snapshot);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -133,33 +151,21 @@ AffectedUsers SimGraphServingRecommender::ObserveRecordingDelta(
 
   TweetState& state = tweet_state_[event.tweet];
   state.seeds.push_back(event.user);
-
-  const bool metrics_on = metrics::Enabled();
-  WallTimer propagation_timer;
-  propagator_->PropagateInto(state.seeds,
-                             static_cast<int64_t>(state.seeds.size()),
-                             options_.propagation, propagation_scratch_,
-                             &propagation_result_);
-  if (metrics_on) {
-    const double us = propagation_timer.ElapsedSeconds() * 1e6;
-    SIMGRAPH_HISTOGRAM_RECORD("serve.apply.propagation_us", us);
-    if (shard_propagation_us_ != nullptr) shard_propagation_us_->Record(us);
-  }
-  const PropagationResult& result = propagation_result_;
-  ++num_propagations_;
-  for (const UserScore& us : result.scores) {
-    if (us.score < options_.min_deposit_score) continue;
-    if (state_.Deposit(us.user, event.tweet, us.score)) {
-      affected.users.push_back(us.user);
-      if (delta != nullptr) {
-        delta->deposits.push_back({us.user, event.tweet, us.score});
-      }
-    }
+  // Postponed computation (Section 5.4): a retweet arriving within delta
+  // of the tweet's last propagation only joins the seed set of the next
+  // run. Delta 0 propagates on every retweet, whatever its timestamp.
+  const bool due = options_.postpone_delta == 0 ||
+                   state.last_propagation < 0 ||
+                   event.time - state.last_propagation >=
+                       options_.postpone_delta;
+  if (due) {
+    state.last_propagation = event.time;
+    PropagateTweet(event.tweet, state.seeds, delta, &affected);
   }
 
   // Stale candidates are invisible to TopK, so evicting them never
   // changes an answer — no invalidation needed.
-  if (observed_ % options_.evict_every == 0) {
+  if (observed_ % kEvictEvery == 0) {
     state_.EvictStale(event.time);
     if (delta != nullptr) delta->evict_before = event.time;
   }
@@ -175,6 +181,31 @@ AffectedUsers SimGraphServingRecommender::ObserveRecordingDelta(
   return affected;
 }
 
+void SimGraphServingRecommender::PropagateTweet(
+    TweetId tweet, const std::vector<UserId>& seeds, SimGraphDelta* delta,
+    AffectedUsers* affected) {
+  const bool metrics_on = metrics::Enabled();
+  WallTimer propagation_timer;
+  propagator_->PropagateInto(seeds, static_cast<int64_t>(seeds.size()),
+                             options_.propagation, propagation_scratch_,
+                             &propagation_result_);
+  if (metrics_on) {
+    const double us = propagation_timer.ElapsedSeconds() * 1e6;
+    SIMGRAPH_HISTOGRAM_RECORD("serve.apply.propagation_us", us);
+    if (shard_propagation_us_ != nullptr) shard_propagation_us_->Record(us);
+  }
+  ++num_propagations_;
+  for (const UserScore& us : propagation_result_.scores) {
+    if (us.score < options_.min_deposit_score) continue;
+    if (state_.Deposit(us.user, tweet, us.score)) {
+      affected->users.push_back(us.user);
+      if (delta != nullptr) {
+        delta->deposits.push_back({us.user, tweet, us.score});
+      }
+    }
+  }
+}
+
 std::vector<ScoredTweet> SimGraphServingRecommender::Recommend(UserId user,
                                                                Timestamp now,
                                                                int32_t k) {
@@ -187,7 +218,47 @@ RecommendOutcome SimGraphServingRecommender::RecommendUntil(
     UserId user, Timestamp now, int32_t k,
     std::chrono::steady_clock::time_point deadline) {
   SIMGRAPH_CHECK(state_.initialized()) << "Train must be called first";
-  return state_.ScanTopK(user, now, k, deadline);
+  RecommendOutcome own = state_.ScanTopK(user, now, k, deadline);
+  if (!own.tweets.empty() || !own.complete ||
+      !options_.cold_start_fallback || !IsColdUser(user)) {
+    return own;
+  }
+  SIMGRAPH_COUNTER_ADD("recommend.simgraph.cold_start_calls", 1);
+  return ColdStartRecommend(user, now, k, deadline);
+}
+
+bool SimGraphServingRecommender::IsColdUser(UserId user) const {
+  const std::shared_ptr<const SimGraph> snapshot = GraphSnapshot();
+  const Digraph& graph = snapshot->graph;
+  return graph.num_nodes() == 0 ||
+         (graph.OutDegree(user) == 0 && graph.InDegree(user) == 0);
+}
+
+RecommendOutcome SimGraphServingRecommender::ColdStartRecommend(
+    UserId user, Timestamp now, int32_t k,
+    std::chrono::steady_clock::time_point deadline) const {
+  RecommendOutcome out;
+  const auto followees = follow_graph_->OutNeighbors(user);
+  const int64_t limit = std::min<int64_t>(
+      static_cast<int64_t>(followees.size()), kColdStartMaxFollowees);
+  // Pool the followees' own candidate lists; a post recommended to many
+  // followees accumulates score, scaled by the number consulted.
+  std::unordered_map<TweetId, double> pooled;
+  for (int64_t i = 0; i < limit && out.complete; ++i) {
+    const RecommendOutcome followee = state_.ScanTopK(
+        followees[static_cast<size_t>(i)], now, k, deadline);
+    out.complete = followee.complete;
+    for (const ScoredTweet& st : followee.tweets) {
+      if (state_.IsConsumed(user, st.tweet)) continue;
+      pooled[st.tweet] += st.score / static_cast<double>(limit);
+    }
+  }
+  out.tweets.reserve(pooled.size());
+  for (const auto& [tweet, score] : pooled) {
+    out.tweets.push_back(ScoredTweet{tweet, score});
+  }
+  KeepTopK(&out.tweets, k);
+  return out;
 }
 
 std::shared_ptr<const SimGraph> SimGraphServingRecommender::GraphSnapshot()

@@ -19,25 +19,36 @@
 namespace simgraph {
 namespace serve {
 
-/// Configuration of the serving-grade SimGraph recommender.
+/// Configuration of the SimGraph recommender.
 struct ServingSimGraphOptions {
   SimGraphOptions graph;
   PropagationOptions propagation;
-  /// Posts older than this are never recommended (72 h per the paper).
+  /// Posts older than this are never recommended (Section 3.1.2 concludes
+  /// 72 h).
   Timestamp freshness_window = 72 * kSecondsPerHour;
-  /// Propagated scores below this floor are not deposited.
+  /// Postponed computation delta (Section 5.4): propagation for a tweet
+  /// runs at most once per this interval; retweets arriving in between
+  /// join the seed set of the next run. 0 propagates on every retweet,
+  /// even when event times go backwards.
+  Timestamp postpone_delta = 0;
+  /// Propagated scores below this floor are not deposited as candidates:
+  /// a vanishing probability ("a friend of a friend of someone who shared
+  /// it") is propagation bookkeeping, not a recommendation. Works with
+  /// the beta/gamma thresholds to keep the daily capacity in the paper's
+  /// 50-70 band.
   double min_deposit_score = 0.0;
+  /// Cold-start fallback (Section 4.1): users absent from the SimGraph
+  /// have no propagated candidates; when enabled, their recommendations
+  /// are assembled from the candidates of the accounts they follow
+  /// ("using the neighbourhood's computed recommendation of cold start
+  /// nodes"), scores scaled by 1/|followees consulted|. Reads served by
+  /// DeltaApplierRecommender shards never pool.
+  bool cold_start_fallback = false;
   /// Re-materialise the CSR propagation snapshot from the incremental
   /// graph every this many applied events (epoch swap). 0 keeps the
-  /// training-time graph forever — which makes the serving recommender
-  /// bit-identical to an offline SimGraphRecommender over the same
-  /// stream (tests/serve/serving_recommender_test.cc relies on this).
+  /// training-time graph forever: the offline evaluation setting, in
+  /// which the paper's figures are reproduced.
   int64_t snapshot_refresh_events = 0;
-  /// Number of lock stripes over users for candidate/consumed state.
-  int32_t num_stripes = 64;
-  /// Evict stale candidates every this many observed events (mirrors
-  /// SimGraphRecommender's fixed 50000 cadence).
-  int64_t evict_every = 50000;
   /// When set, Train takes the follow graph from this pinned mmap'd
   /// SGCS image instead of dataset.follow_graph (which may then be
   /// empty — the million-user deployments never materialise graph.txt).
@@ -46,11 +57,19 @@ struct ServingSimGraphOptions {
   std::shared_ptr<const store::GraphImage> graph_image;
 };
 
-/// The SimGraph recommender restructured for online serving: the
-/// similarity graph lives in an IncrementalSimGraph that absorbs every
-/// streamed event, while propagation runs over an immutable CSR snapshot
-/// that is swapped atomically every `snapshot_refresh_events` events —
-/// so reads never block on graph maintenance.
+/// The paper's system: SimGraph + iterative score propagation, built for
+/// online serving and driven unchanged by the offline evaluation harness.
+///
+/// Train builds retweet profiles over the training prefix and the
+/// similarity graph on top of them. Each observed retweet extends the
+/// tweet's seed set and (subject to the postponement policy) propagates
+/// the tweet through the SimGraph; propagated scores are deposited into
+/// per-user candidate tables from which Recommend serves fresh top-k
+/// posts. The similarity graph lives in an IncrementalSimGraph that
+/// absorbs every streamed event, while propagation runs over an
+/// immutable CSR snapshot that is swapped atomically every
+/// `snapshot_refresh_events` events — so reads never block on graph
+/// maintenance.
 ///
 /// Under the delta-shipping pipeline (docs/ingest.md) exactly one of
 /// these is the DeltaBuilder's source of truth: ObserveRecordingDelta
@@ -64,11 +83,11 @@ struct ServingSimGraphOptions {
 ///     of reader threads (concurrent_reads() is true).
 /// Candidate and consumed state is guarded by locks striped over users
 /// (see CandidateState).
-class SimGraphServingRecommender final : public ServingRecommender {
+class SimGraphServingRecommender : public ServingRecommender {
  public:
   explicit SimGraphServingRecommender(ServingSimGraphOptions options = {});
 
-  std::string name() const override { return "SimGraphServing"; }
+  std::string name() const override { return "SimGraph"; }
   Status Train(const Dataset& dataset, int64_t train_end) override;
   AffectedUsers ObserveAffected(const RetweetEvent& event) override;
 
@@ -104,18 +123,46 @@ class SimGraphServingRecommender final : public ServingRecommender {
   /// the ingest thread is quiescent).
   const IncrementalSimGraph& incremental() const { return *incremental_; }
 
+  /// Cumulative number of propagation runs (for Table 5 accounting).
   int64_t num_propagations() const { return num_propagations_; }
+
+  /// True when `user` has no incident edge in the current snapshot (the
+  /// cold-start case of Section 4.1).
+  bool IsColdUser(UserId user) const;
+
+  /// Replaces the propagation snapshot with `sim_graph` (the Figure 16
+  /// update-strategy study and the topic extension swap in graphs built
+  /// another way). Call after Train and before the first event; requires
+  /// snapshot_refresh_events == 0, since a refresh would overwrite the
+  /// swapped graph with the incremental one.
+  void ReplaceSimGraph(SimGraph sim_graph);
 
  private:
   struct TweetState {
     std::vector<UserId> seeds;
+    Timestamp last_propagation = -1;
   };
+
+  /// Propagates `tweet` from `seeds` over the current snapshot and
+  /// deposits the scores, recording changed users (and deposits).
+  void PropagateTweet(TweetId tweet, const std::vector<UserId>& seeds,
+                      SimGraphDelta* delta, AffectedUsers* affected);
+
+  /// Publishes `snapshot` and a propagator over it (epoch swap).
+  void PublishSnapshot(std::shared_ptr<const SimGraph> snapshot);
+
+  /// Pools the followees' candidates for a cold user.
+  RecommendOutcome ColdStartRecommend(
+      UserId user, Timestamp now, int32_t k,
+      std::chrono::steady_clock::time_point deadline) const;
 
   /// Materialises incremental_ into a fresh snapshot + propagator and
   /// publishes them (epoch swap). Ingest-thread only.
   void RefreshSnapshot();
 
   ServingSimGraphOptions options_;
+  // The Train dataset's follow graph or the pinned image's; immutable.
+  const Digraph* follow_graph_ = nullptr;
   std::unique_ptr<IncrementalSimGraph> incremental_;
   /// Striped candidate/consumed state shared (by construction, not by
   /// reference) with DeltaApplierRecommender replicas.

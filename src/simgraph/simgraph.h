@@ -11,7 +11,7 @@
 ///   simgraph::Dataset data = simgraph::GenerateDataset(simgraph::TinyConfig());
 ///   simgraph::EvalProtocol protocol =
 ///       simgraph::MakeProtocol(data, simgraph::ProtocolOptions{});
-///   simgraph::SimGraphRecommender recommender;
+///   simgraph::serve::SimGraphServingRecommender recommender;
 ///   simgraph::HarnessOptions harness;
 ///   harness.k = 30;
 ///   simgraph::EvalResult result =
@@ -30,7 +30,6 @@
 #include "core/recommender.h"
 #include "core/simgraph.h"
 #include "core/simgraph_delta.h"
-#include "core/simgraph_recommender.h"
 #include "core/similarity.h"
 #include "core/topic_similarity.h"
 #include "core/update.h"
@@ -66,6 +65,7 @@
 #include "serve/sharded_service.h"
 #include "serve/simgraph_serving_recommender.h"
 #include "serve/tcp_server.h"
+#include "serve/update_strategy_recommender.h"
 #include "serve/window_telemetry.h"
 #include "serve/wire_protocol.h"
 #include "solver/iterative_solvers.h"

@@ -9,7 +9,7 @@
 #include "baselines/cf_recommender.h"
 #include "baselines/graphjet_recommender.h"
 #include "core/recommender.h"
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "dataset/config.h"
 #include "dataset/generator.h"
 #include "eval/protocol.h"
@@ -28,7 +28,9 @@ class RecommendDeterminismTest
     : public ::testing::TestWithParam<std::string> {
  protected:
   static std::unique_ptr<Recommender> Make(const std::string& name) {
-    if (name == "SimGraph") return std::make_unique<SimGraphRecommender>();
+    if (name == "SimGraph") {
+      return std::make_unique<serve::SimGraphServingRecommender>();
+    }
     if (name == "CF") return std::make_unique<CfRecommender>();
     if (name == "Bayes") return std::make_unique<BayesRecommender>();
     return std::make_unique<GraphJetRecommender>();

@@ -5,7 +5,7 @@
 #include "util/logging.h"
 
 #include "core/recommender.h"
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "dataset/generator.h"
 #include "graph/graph_builder.h"
 
@@ -190,9 +190,9 @@ TEST(HarnessTest, EndToEndWithRealRecommender) {
   popts.low_max = 3;
   popts.moderate_max = 10;
   const EvalProtocol p = MakeProtocol(d, popts);
-  SimGraphRecommenderOptions ropts;
+  serve::ServingSimGraphOptions ropts;
   ropts.graph.tau = 0.001;
-  SimGraphRecommender rec(ropts);
+  serve::SimGraphServingRecommender rec(ropts);
   HarnessOptions hopts;
   hopts.k = 10;
   const EvalResult r = RunEvaluation(d, p, rec, hopts);

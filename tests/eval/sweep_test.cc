@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/cf_recommender.h"
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "dataset/generator.h"
 
 namespace simgraph {
@@ -34,10 +34,10 @@ const Fixture& Shared() {
 
 TEST(SweepTest, SingleKMatchesDedicatedRun) {
   const Fixture& f = Shared();
-  SimGraphRecommenderOptions opts;
+  serve::ServingSimGraphOptions opts;
   opts.graph.tau = 0.002;
 
-  SimGraphRecommender rec_sweep(opts);
+  serve::SimGraphServingRecommender rec_sweep(opts);
   SweepOptions sopts;
   sopts.k_grid = {20};
   sopts.recommendation_period = kSecondsPerDay;  // match the harness default
@@ -45,7 +45,7 @@ TEST(SweepTest, SingleKMatchesDedicatedRun) {
       RunSweepEvaluation(f.dataset, f.protocol, rec_sweep, sopts);
   ASSERT_EQ(sweep.size(), 1u);
 
-  SimGraphRecommender rec_single(opts);
+  serve::SimGraphServingRecommender rec_single(opts);
   HarnessOptions hopts;
   hopts.k = 20;
   const EvalResult single =

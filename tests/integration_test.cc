@@ -39,9 +39,9 @@ const PipelineResult& Shared() {
     HarnessOptions hopts;
     hopts.k = 15;
 
-    SimGraphRecommenderOptions sopts;
+    serve::ServingSimGraphOptions sopts;
     sopts.graph.tau = 0.002;
-    SimGraphRecommender sim(sopts);
+    serve::SimGraphServingRecommender sim(sopts);
     out->simgraph = RunEvaluation(out->dataset, out->protocol, sim, hopts);
 
     CfRecommender cf;

@@ -80,10 +80,10 @@ TEST(FreshnessWindowTest, ShorterWindowExpiresSooner) {
   SIMGRAPH_CHECK_OK(d.Validate());
 
   for (const Timestamp window : {Timestamp{6 * h}, Timestamp{72 * h}}) {
-    SimGraphRecommenderOptions opts;
+    serve::ServingSimGraphOptions opts;
     opts.graph.tau = 1e-6;
     opts.freshness_window = window;
-    SimGraphRecommender rec(opts);
+    serve::SimGraphServingRecommender rec(opts);
     ASSERT_TRUE(rec.Train(d, 2).ok());
     rec.Observe(d.retweets[2]);
     // At t = 5h the post is fresh for both windows.

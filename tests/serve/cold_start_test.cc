@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
-#include "core/simgraph_recommender.h"
 #include "dataset/generator.h"
 #include "graph/graph_builder.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "util/logging.h"
 
 namespace simgraph {
+namespace serve {
 namespace {
 
 // User 9 never retweets (cold) but follows users 0 and 1, who are warm
@@ -40,8 +41,8 @@ Dataset MakeTrace() {
   return d;
 }
 
-SimGraphRecommenderOptions WithFallback() {
-  SimGraphRecommenderOptions o;
+ServingSimGraphOptions WithFallback() {
+  ServingSimGraphOptions o;
   o.graph.tau = 1e-6;
   o.cold_start_fallback = true;
   return o;
@@ -49,7 +50,7 @@ SimGraphRecommenderOptions WithFallback() {
 
 TEST(ColdStartTest, ColdUserDetection) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(WithFallback());
+  SimGraphServingRecommender rec(WithFallback());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   EXPECT_TRUE(rec.IsColdUser(9));
   EXPECT_FALSE(rec.IsColdUser(0));
@@ -57,7 +58,7 @@ TEST(ColdStartTest, ColdUserDetection) {
 
 TEST(ColdStartTest, FallbackServesFolloweesCandidates) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(WithFallback());
+  SimGraphServingRecommender rec(WithFallback());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());
   // Users 0 and 1 get tweet 3 by propagation; cold user 9 inherits it.
@@ -69,9 +70,9 @@ TEST(ColdStartTest, FallbackServesFolloweesCandidates) {
 
 TEST(ColdStartTest, DisabledFallbackReturnsNothing) {
   const Dataset d = MakeTrace();
-  SimGraphRecommenderOptions o = WithFallback();
+  ServingSimGraphOptions o = WithFallback();
   o.cold_start_fallback = false;
-  SimGraphRecommender rec(o);
+  SimGraphServingRecommender rec(o);
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());
   EXPECT_TRUE(rec.Recommend(9, 102 * kSecondsPerHour, 10).empty());
@@ -79,7 +80,7 @@ TEST(ColdStartTest, DisabledFallbackReturnsNothing) {
 
 TEST(ColdStartTest, FallbackScoreIsFolloweeAverage) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(WithFallback());
+  SimGraphServingRecommender rec(WithFallback());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());
   const Timestamp now = 102 * kSecondsPerHour;
@@ -94,12 +95,12 @@ TEST(ColdStartTest, FallbackScoreIsFolloweeAverage) {
 
 TEST(ColdStartTest, WarmUsersUnaffectedByFallback) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender with(WithFallback());
+  SimGraphServingRecommender with(WithFallback());
   ASSERT_TRUE(with.Train(d, 9).ok());
   with.Observe(d.retweets.back());
-  SimGraphRecommenderOptions o = WithFallback();
+  ServingSimGraphOptions o = WithFallback();
   o.cold_start_fallback = false;
-  SimGraphRecommender without(o);
+  SimGraphServingRecommender without(o);
   ASSERT_TRUE(without.Train(d, 9).ok());
   without.Observe(d.retweets.back());
   const Timestamp now = 102 * kSecondsPerHour;
@@ -114,7 +115,7 @@ TEST(ColdStartTest, WarmUsersUnaffectedByFallback) {
 
 TEST(ColdStartTest, ConsumedPostsAreFiltered) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(WithFallback());
+  SimGraphServingRecommender rec(WithFallback());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());
   // Cold user 9 now retweets tweet 3 themself.
@@ -127,13 +128,13 @@ TEST(ColdStartTest, ConsumedPostsAreFiltered) {
 TEST(ColdStartTest, RaisesCoverageOnGeneratedTrace) {
   const Dataset d = GenerateDataset(TinyConfig());
   const int64_t split = d.SplitIndex(0.9);
-  SimGraphRecommenderOptions o;
+  ServingSimGraphOptions o;
   o.graph.tau = 0.002;
   o.cold_start_fallback = true;
-  SimGraphRecommender with(o);
+  SimGraphServingRecommender with(o);
   ASSERT_TRUE(with.Train(d, split).ok());
   o.cold_start_fallback = false;
-  SimGraphRecommender without(o);
+  SimGraphServingRecommender without(o);
   ASSERT_TRUE(without.Train(d, split).ok());
   for (int64_t i = split; i < d.num_retweets(); ++i) {
     with.Observe(d.retweets[static_cast<size_t>(i)]);
@@ -150,4 +151,5 @@ TEST(ColdStartTest, RaisesCoverageOnGeneratedTrace) {
 }
 
 }  // namespace
+}  // namespace serve
 }  // namespace simgraph

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/simgraph_delta.h"
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "dataset/config.h"
 #include "dataset/generator.h"
 #include "eval/protocol.h"
@@ -115,7 +115,7 @@ TEST_F(DeltaEquivalenceTest, AppliedDeltasMatchPrefixRecomputeOnEveryShard) {
       EXPECT_GE(service.shard(s).AppliedSeq(), seq) << "shard " << s;
     }
 
-    SimGraphRecommender reference;
+    SimGraphServingRecommender reference;
     ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
     for (int64_t i = 0; i < published; ++i) reference.Observe(TestEvent(i));
     const Timestamp now = sim_now.load();

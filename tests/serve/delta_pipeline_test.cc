@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/simgraph_delta.h"
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "dataset/config.h"
 #include "dataset/generator.h"
 #include "eval/protocol.h"
@@ -133,7 +133,7 @@ TEST_F(DeltaPipelineTest, CrashedBuilderRecoversWithoutLosingEvents) {
   service.WaitForApplied(static_cast<uint64_t>(num_test_));
   EXPECT_EQ(service.AppliedSeq(), static_cast<uint64_t>(num_test_));
 
-  SimGraphRecommender reference;
+  SimGraphServingRecommender reference;
   ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
   for (int64_t i = 0; i < num_test_; ++i) reference.Observe(TestEvent(i));
   const Timestamp now = dataset_.retweets.back().time;

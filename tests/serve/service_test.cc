@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "baselines/cf_recommender.h"
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "dataset/config.h"
 #include "dataset/generator.h"
 #include "eval/protocol.h"
@@ -102,7 +102,7 @@ TEST_F(ServiceTest, ReadsAfterAckMatchSingleThreadedPrefixRecompute) {
     EXPECT_GE(service.AppliedSeq(), seq);
 
     // Fresh single-threaded recompute over exactly the acked prefix.
-    SimGraphRecommender reference;
+    SimGraphServingRecommender reference;
     ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
     for (int64_t i = 0; i < published; ++i) {
       reference.Observe(dataset_.retweets[static_cast<size_t>(
@@ -169,7 +169,7 @@ TEST_F(ServiceTest, CachedServingStaysExactAtFixedQueryTime) {
   done.store(true);
   for (std::thread& r : readers) r.join();
 
-  SimGraphRecommender reference;
+  SimGraphServingRecommender reference;
   ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
   for (int64_t i = protocol_.train_end; i < dataset_.num_retweets(); ++i) {
     reference.Observe(dataset_.retweets[static_cast<size_t>(i)]);

@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "baselines/cf_recommender.h"
-#include "core/simgraph_recommender.h"
 #include "dataset/config.h"
 #include "dataset/generator.h"
 #include "eval/protocol.h"
@@ -30,37 +31,50 @@ class ServingRecommenderTest : public ::testing::Test {
   EvalProtocol protocol_;
 };
 
-// The tentpole correctness anchor: with the snapshot pinned to the
-// training graph (refresh cadence 0), the serving recommender and the
-// offline SimGraphRecommender are the same algorithm over the same
-// state, so their outputs must agree bit for bit across the full test
-// stream.
+// FNV-1a over every panel user's top-10 list: its length, then each
+// (tweet, score bits) pair.
+uint64_t HashLists(SimGraphServingRecommender& rec, const EvalProtocol& p,
+                   Timestamp now, int64_t* nonempty) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  *nonempty = 0;
+  for (const UserId user : p.panel) {
+    const std::vector<ScoredTweet> list = rec.Recommend(user, now, 10);
+    mix(list.size());
+    for (const ScoredTweet& st : list) {
+      mix(static_cast<uint64_t>(st.tweet));
+      mix(std::bit_cast<uint64_t>(st.score));
+    }
+    if (!list.empty()) ++*nonempty;
+  }
+  return h;
+}
+
+// The correctness anchor of the single SimGraph implementation: with the
+// snapshot pinned to the training graph (refresh cadence 0), the serving
+// recommender reproduces, bit for bit, the offline recommender the
+// paper's figures were first computed with. The golden values are that
+// offline class's panel top-10 lists at the end of this stream.
 TEST_F(ServingRecommenderTest, MatchesOfflineRecommenderOverFullReplay) {
   SimGraphServingRecommender serving;
-  SimGraphRecommender offline;
   ASSERT_TRUE(serving.Train(dataset_, protocol_.train_end).ok());
-  ASSERT_TRUE(offline.Train(dataset_, protocol_.train_end).ok());
 
   Timestamp last_time = protocol_.split_time;
   for (int64_t i = protocol_.train_end; i < dataset_.num_retweets(); ++i) {
     const RetweetEvent& e = dataset_.retweets[static_cast<size_t>(i)];
     serving.ObserveAffected(e);
-    offline.Observe(e);
     last_time = e.time;
   }
 
   int64_t nonempty = 0;
-  for (const UserId user : protocol_.panel) {
-    const auto expected = offline.Recommend(user, last_time, 10);
-    const auto actual = serving.Recommend(user, last_time, 10);
-    ASSERT_EQ(actual.size(), expected.size()) << "user " << user;
-    for (size_t j = 0; j < expected.size(); ++j) {
-      EXPECT_EQ(actual[j].tweet, expected[j].tweet) << "user " << user;
-      EXPECT_DOUBLE_EQ(actual[j].score, expected[j].score) << "user " << user;
-    }
-    if (!expected.empty()) ++nonempty;
-  }
-  EXPECT_GT(nonempty, 0) << "parity test compared only empty lists";
+  EXPECT_EQ(HashLists(serving, protocol_, last_time, &nonempty),
+            0x030557c3c492a91dULL);
+  EXPECT_EQ(nonempty, 115) << "parity test compared only empty lists";
 }
 
 // An event reported as affecting no user must indeed leave every

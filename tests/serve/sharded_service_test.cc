@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 #include "dataset/config.h"
 #include "dataset/generator.h"
 #include "eval/protocol.h"
@@ -106,7 +106,7 @@ TEST_F(ShardedServiceTest, ReadsAfterAckMatchPrefixRecomputeOnEveryShard) {
       EXPECT_GE(service.shard(s).AppliedSeq(), seq) << "shard " << s;
     }
 
-    SimGraphRecommender reference;
+    SimGraphServingRecommender reference;
     ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
     for (int64_t i = 0; i < published; ++i) {
       reference.Observe(dataset_.retweets[static_cast<size_t>(
@@ -223,7 +223,7 @@ TEST_F(ShardedServiceTest, DeltaShardsHoldOnlyTheUsersTheyOwn) {
   ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
   service.Start();
 
-  SimGraphRecommender reference;
+  SimGraphServingRecommender reference;
   ASSERT_TRUE(reference.Train(dataset_, protocol_.train_end).ok());
   const int64_t num_test = dataset_.num_retweets() - protocol_.train_end;
   uint64_t seq = 0;

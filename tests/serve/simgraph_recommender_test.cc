@@ -1,4 +1,4 @@
-#include "core/simgraph_recommender.h"
+#include "serve/simgraph_serving_recommender.h"
 
 #include <algorithm>
 
@@ -10,6 +10,7 @@
 #include "graph/graph_builder.h"
 
 namespace simgraph {
+namespace serve {
 namespace {
 
 // Follow graph wired so users 0,1,2 co-retweet during training and a test
@@ -46,26 +47,26 @@ Dataset MakeTrace() {
   return d;
 }
 
-SimGraphRecommenderOptions SmallOptions() {
-  SimGraphRecommenderOptions o;
+ServingSimGraphOptions SmallOptions() {
+  ServingSimGraphOptions o;
   o.graph.tau = 1e-6;
   return o;
 }
 
 TEST(SimGraphRecommenderTest, TrainBuildsSimGraph) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(SmallOptions());
+  SimGraphServingRecommender rec(SmallOptions());
   ASSERT_TRUE(rec.Train(d, /*train_end=*/9).ok());
   // All three co-retweeting users are mutually 1-hop/2-hop reachable
   // through user 2 or author 3... 0->2 direct, 0->1? N2(0)={2,3}; so 0->2
   // at least must exist.
-  EXPECT_TRUE(rec.sim_graph().graph.HasEdge(0, 2));
-  EXPECT_TRUE(rec.sim_graph().graph.HasEdge(1, 2));
+  EXPECT_TRUE(rec.GraphSnapshot()->graph.HasEdge(0, 2));
+  EXPECT_TRUE(rec.GraphSnapshot()->graph.HasEdge(1, 2));
 }
 
 TEST(SimGraphRecommenderTest, ObservedRetweetPropagatesToSimilarUsers) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(SmallOptions());
+  SimGraphServingRecommender rec(SmallOptions());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());  // user 2 shares tweet 3
   const Timestamp now = 102 * kSecondsPerHour;
@@ -80,7 +81,7 @@ TEST(SimGraphRecommenderTest, ObservedRetweetPropagatesToSimilarUsers) {
 
 TEST(SimGraphRecommenderTest, SharerIsNotRecommendedTheTweet) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(SmallOptions());
+  SimGraphServingRecommender rec(SmallOptions());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());
   const auto recs2 = rec.Recommend(2, 102 * kSecondsPerHour, 10);
@@ -89,7 +90,7 @@ TEST(SimGraphRecommenderTest, SharerIsNotRecommendedTheTweet) {
 
 TEST(SimGraphRecommenderTest, AuthorIsNotRecommendedOwnTweet) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(SmallOptions());
+  SimGraphServingRecommender rec(SmallOptions());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());
   const auto recs3 = rec.Recommend(3, 102 * kSecondsPerHour, 10);
@@ -98,7 +99,7 @@ TEST(SimGraphRecommenderTest, AuthorIsNotRecommendedOwnTweet) {
 
 TEST(SimGraphRecommenderTest, StaleTweetsExpireFromRecommendations) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(SmallOptions());
+  SimGraphServingRecommender rec(SmallOptions());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   rec.Observe(d.retweets.back());
   // 73 hours after publication of tweet 3, it is no longer fresh.
@@ -110,15 +111,15 @@ TEST(SimGraphRecommenderTest, PostponedDeltaBatchesPropagations) {
   const Dataset d = GenerateDataset(TinyConfig());
   const int64_t split = d.SplitIndex(0.9);
 
-  SimGraphRecommenderOptions eager;
+  ServingSimGraphOptions eager;
   eager.graph.tau = 0.001;
   eager.postpone_delta = 0;
-  SimGraphRecommender rec_eager(eager);
+  SimGraphServingRecommender rec_eager(eager);
   ASSERT_TRUE(rec_eager.Train(d, split).ok());
 
-  SimGraphRecommenderOptions lazy = eager;
+  ServingSimGraphOptions lazy = eager;
   lazy.postpone_delta = 12 * kSecondsPerHour;
-  SimGraphRecommender rec_lazy(lazy);
+  SimGraphServingRecommender rec_lazy(lazy);
   ASSERT_TRUE(rec_lazy.Train(d, split).ok());
 
   for (int64_t i = split; i < d.num_retweets(); ++i) {
@@ -129,9 +130,24 @@ TEST(SimGraphRecommenderTest, PostponedDeltaBatchesPropagations) {
   EXPECT_LT(rec_lazy.num_propagations(), rec_eager.num_propagations());
 }
 
+// Delta 0 propagates every retweet, also one whose timestamp precedes
+// the tweet's last propagation (events may arrive out of order).
+TEST(SimGraphRecommenderTest, ZeroDeltaPropagatesOutOfOrderRetweets) {
+  const Dataset d = MakeTrace();
+  SimGraphServingRecommender rec(SmallOptions());
+  ASSERT_TRUE(rec.Train(d, 9).ok());
+  rec.Observe(d.retweets.back());  // user 2 shares tweet 3 at 101 h
+  ASSERT_EQ(rec.num_propagations(), 1);
+  rec.Observe(RetweetEvent{3, 1, 100 * kSecondsPerHour + 1});
+  EXPECT_EQ(rec.num_propagations(), 2);
+  const auto recs0 = rec.Recommend(0, 102 * kSecondsPerHour, 10);
+  ASSERT_FALSE(recs0.empty());
+  EXPECT_EQ(recs0[0].tweet, 3);
+}
+
 TEST(SimGraphRecommenderTest, TrainEndOutOfRangeIsError) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(SmallOptions());
+  SimGraphServingRecommender rec(SmallOptions());
   EXPECT_EQ(rec.Train(d, d.num_retweets() + 1).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(rec.Train(d, -1).code(), StatusCode::kInvalidArgument);
@@ -139,7 +155,7 @@ TEST(SimGraphRecommenderTest, TrainEndOutOfRangeIsError) {
 
 TEST(SimGraphRecommenderTest, ReplaceSimGraphSwapsPropagationTopology) {
   const Dataset d = MakeTrace();
-  SimGraphRecommender rec(SmallOptions());
+  SimGraphServingRecommender rec(SmallOptions());
   ASSERT_TRUE(rec.Train(d, 9).ok());
   // Replace with an empty graph: propagation reaches nobody.
   SimGraph empty;
@@ -151,9 +167,10 @@ TEST(SimGraphRecommenderTest, ReplaceSimGraphSwapsPropagationTopology) {
 }
 
 TEST(SimGraphRecommenderTest, NameIsStable) {
-  SimGraphRecommender rec;
+  SimGraphServingRecommender rec;
   EXPECT_EQ(rec.name(), "SimGraph");
 }
 
 }  // namespace
+}  // namespace serve
 }  // namespace simgraph

@@ -185,9 +185,9 @@ int CmdRecommend(const std::map<std::string, std::string>& flags) {
   }
   const int32_t k = static_cast<int32_t>(FlagInt(flags, "k", 10));
   const double train_fraction = FlagDouble(flags, "train", 0.9);
-  SimGraphRecommenderOptions ropts;
+  serve::ServingSimGraphOptions ropts;
   ropts.cold_start_fallback = true;
-  SimGraphRecommender rec(ropts);
+  serve::SimGraphServingRecommender rec(ropts);
   const int64_t train_end = dataset->SplitIndex(train_fraction);
   const Status trained = rec.Train(*dataset, train_end);
   if (!trained.ok()) {
@@ -224,7 +224,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   hopts.k = static_cast<int32_t>(FlagInt(flags, "k", 30));
 
   std::vector<std::unique_ptr<Recommender>> methods;
-  methods.push_back(std::make_unique<SimGraphRecommender>());
+  methods.push_back(std::make_unique<serve::SimGraphServingRecommender>());
   methods.push_back(std::make_unique<CfRecommender>());
   methods.push_back(std::make_unique<GraphJetRecommender>());
   methods.push_back(std::make_unique<BayesRecommender>());
