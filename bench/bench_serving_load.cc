@@ -1,118 +1,59 @@
-// bench_serving_load — load generator for the online serving subsystem.
+// bench_serving_load — in-process load legs for what perfbench does not
+// cover: shard scaling, socket-fed replication and minute-scale drift.
 //
-// Replays the full test-period retweet stream through a ShardedService
-// (one or more RecommendationService shards behind the hash router)
-// while worker threads issue recommendation requests, in two phases:
+// End-to-end serving speed (client -> TCP -> router -> shard -> reply,
+// every answer checked against a cache-off replica) is measured by
+// perfbench (perfbench/README.md) and committed as BENCH_perfbench.json.
+// This bench runs the legs that perfbench has no counterpart for; at
+// least one mode flag is required, otherwise it prints usage and exits 2:
 //
-//   1. closed-loop: each worker fires its next request as soon as the
-//      previous one returns, concurrently with the event replay —
-//      measures saturation throughput and on-CPU request latency;
-//   2. open-loop: workers issue requests on a fixed arrival schedule at
-//      ~80% of the measured closed-loop throughput — measures
-//      scheduled-to-completion sojourn time, which (unlike closed-loop
-//      latency) includes queueing delay and does not suffer coordinated
-//      omission.
+//   --shard-sweep=1,2,4,8  one leg per shard count: the full test-period
+//       retweet stream is replayed through a ShardedService while worker
+//       threads issue recommendation requests in two phases:
+//         1. closed-loop: each worker fires its next request as soon as
+//            the previous one returns, concurrently with the event
+//            replay — saturation throughput and on-CPU request latency;
+//         2. open-loop: workers issue requests on a fixed arrival
+//            schedule at ~80% of the measured closed-loop throughput —
+//            scheduled-to-completion sojourn time, which includes
+//            queueing delay and does not suffer coordinated omission.
+//       Each leg reports its ingest cost; two or more counts add the
+//       scaling ratios. Any failed request fails the run.
+//   --remote-shards=N  a replication leg (docs/replication.md): N remote
+//       replicas — each the full simgraph_shard_server stack, fed SGDL
+//       frames over a real loopback socket — attach to the builder via
+//       ReplicationFanout; the leg replays the test stream and reports
+//       events/s to full remote acknowledgement, the drain tail and wire
+//       throughput, plus a bit-identity spot check. Combines with
+//       --shard-sweep.
+//   --soak-seconds=N  a paced minute-scale run emitting a per-window
+//       drift series with a clean and a hostile hot-key leg, gated by
+//       tools/timeseries_diff.
 //
-// The run fails (non-zero exit) if any request returns an error status.
-// Knobs (environment):
-//   SIMGRAPH_BENCH_SERVE_REQUESTS  total requests, both phases (60000)
-//   SIMGRAPH_BENCH_SERVE_THREADS   worker threads (4)
-//   SIMGRAPH_BENCH_SERVE_TTL      result-cache TTL in simulated s (86400)
-//   SIMGRAPH_BENCH_SERVE_DEADLINE_US  per-request budget, 0 = off (0)
-//   SIMGRAPH_BENCH_SERVE_REFRESH  snapshot refresh cadence in events (2000)
-//   SIMGRAPH_BENCH_SERVE_SHARDS   service shards behind the router (1)
-//   SIMGRAPH_BENCH_SERVE_SHARD_SWEEP  comma-separated shard counts, e.g.
-//                                 "1,2,4,8": run the whole load once per
-//                                 count and report scaling (also the
-//                                 --shard-sweep=1,2,4,8 flag; overrides
-//                                 SIMGRAPH_BENCH_SERVE_SHARDS)
-//   SIMGRAPH_BENCH_SERVE_TCP      1 = drive the service through the TCP
-//                                 front-end instead of in-process calls,
-//                                 exercising the full parse->serialize
-//                                 request path (0)
-//   SIMGRAPH_BENCH_SERVE_BINARY   1 = the TCP legs speak the SGRQ binary
-//                                 framing (docs/serving.md) instead of
-//                                 NDJSON — same requests, same answers,
-//                                 no JSON on the wire (0)
-//   SIMGRAPH_BENCH_SERVE_WIRE_AB  (or --wire-ab) 1 = append a wire-format
-//                                 A/B leg: the same recommend load served
-//                                 once over NDJSON with one-at-a-time
-//                                 round trips and once over SGRQ binary
-//                                 with pipelined clients keeping up to
-//                                 SIMGRAPH_BENCH_WIRE_DEPTH (16) requests
-//                                 in flight, whose bursts the server
-//                                 serves as router batches — both legs on
-//                                 SIMGRAPH_BENCH_WIRE_THREADS (8) client
-//                                 connections. SIMGRAPH_BENCH_WIRE_RATE_MULT
-//                                 (default 1.6) > 0 paces the binary leg
-//                                 open-loop at that multiple of the NDJSON
-//                                 leg's measured rate on ONE pipelined
-//                                 connection; 0 runs it closed-loop at
-//                                 full depth instead. Both legs report
-//                                 latency as the client-observed RTT from
-//                                 the actual send, so they compare wire
-//                                 formats under identical accounting.
-//                                 Reports
-//                                 throughput and client-observed latency
-//                                 for both, plus
-//                                 the "wire" snapshot section whose
-//                                 binary_speedup_throughput /
-//                                 latency_ratio_p99 keys gate the binary
-//                                 path's advantage in tools/metrics_diff
-//                                 (SIMGRAPH_BENCH_WIRE_REQUESTS requests
-//                                 per leg, 20000) (0)
-//   SIMGRAPH_BENCH_SERVE_REMOTE_SHARDS  (or --remote-shards=N) > 0 appends
-//                                 a replication leg (docs/replication.md):
-//                                 N remote replicas — each the full
-//                                 simgraph_shard_server stack, fed SGDL
-//                                 frames over a real loopback socket —
-//                                 attach to the builder via
-//                                 ReplicationFanout; the leg replays the
-//                                 test stream and reports events/s to
-//                                 full remote acknowledgement, the drain
-//                                 tail, and wire throughput, plus a
-//                                 bit-identity spot check, as a "remote"
-//                                 section of the bench snapshot (0)
+// Environment:
+//   SIMGRAPH_BENCH_SERVE_REQUESTS     requests per sweep leg, both phases
+//                                     (60000)
 //   SIMGRAPH_BENCH_SERVE_GRAPH_IMAGE  path of an SGCS graph image
-//                                 (docs/store.md): the bench writes the
-//                                 dataset's follow graph there, mmaps it
-//                                 back, and serves every leg from that
-//                                 ONE pinned image instead of the in-RAM
-//                                 Digraph (empty = classic in-RAM path)
-//   SIMGRAPH_BENCH_SERVE_SNAPSHOT  path of the machine-readable summary
-//                                 written after the run (empty = not
-//                                 written; set it explicitly — the bench
-//                                 never rewrites an in-tree baseline on
-//                                 its own) — diff two of these with
-//                                 tools/metrics_diff to gate regressions
-//   SIMGRAPH_BENCH_SERVE_SOAK_SECONDS  (or the --soak-seconds=N flag)
-//                                 > 0 switches to soak mode: a paced
-//                                 minute-scale run emitting a per-window
-//                                 drift series with a clean and a
-//                                 hostile hot-key leg, gated by
-//                                 tools/timeseries_diff. Soak knobs:
-//                                 SIMGRAPH_BENCH_SOAK_WINDOW_MS (1000),
-//                                 SIMGRAPH_BENCH_SOAK_REQ_PER_S (2000),
-//                                 SIMGRAPH_BENCH_SOAK_EVENTS_PER_S (200),
-//                                 SIMGRAPH_BENCH_SOAK_HOT_USERS (4),
-//                                 SIMGRAPH_BENCH_SOAK_TIME_SCALE (60
-//                                 simulated seconds per wall second for
-//                                 the synthetic event clock),
-//                                 SIMGRAPH_BENCH_SOAK_SNAPSHOT (path of
-//                                 BENCH_soak.json; empty = not written)
+//                                     (docs/store.md): the bench writes the
+//                                     dataset's follow graph there, mmaps
+//                                     it back, and serves every leg from
+//                                     that ONE pinned image instead of the
+//                                     in-RAM Digraph (empty = in-RAM path)
+//   SIMGRAPH_BENCH_SERVE_SNAPSHOT     path of the sweep/remote summary
+//                                     (BENCH_serving.json shape; empty =
+//                                     not written — the bench never
+//                                     rewrites an in-tree baseline on its
+//                                     own); diff two with tools/metrics_diff
+//   SIMGRAPH_BENCH_SOAK_SNAPSHOT      path of the soak series
+//                                     (BENCH_soak.json shape; empty = not
+//                                     written)
 // plus the usual --metrics-json= / --trace-json= flags. Without
 // --metrics-json the metrics snapshot is written to
 // /tmp/simgraph_serving_load_metrics.json.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -127,6 +68,13 @@
 namespace simgraph {
 namespace {
 
+/// Request-issuing worker threads of every leg.
+constexpr int32_t kWorkerThreads = 4;
+/// Result-cache TTL in simulated seconds.
+constexpr Timestamp kCacheTtl = kSecondsPerDay;
+/// Snapshot refresh cadence of the builder, in events.
+constexpr int64_t kRefreshEvents = 2000;
+
 struct WorkerTally {
   int64_t requests = 0;
   int64_t failures = 0;
@@ -134,150 +82,10 @@ struct WorkerTally {
   int64_t hits = 0;
 };
 
-struct RequestResult {
-  bool ok = true;
-  bool degraded = false;
-  bool hit = false;
-};
-
-/// Minimal blocking client for the TCP mode, speaking either wire
-/// protocol of docs/serving.md: NDJSON round trips, or SGRQ binary
-/// frames after the connect-time hello.
-class WireClient {
- public:
-  WireClient(uint16_t port, bool binary) : binary_(binary) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                                       sizeof(addr)) == 0;
-    if (connected_ && binary_) {
-      connected_ = serve::SendBinaryHandshake(fd_).ok();
-    }
-  }
-  ~WireClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  WireClient(const WireClient&) = delete;
-  WireClient& operator=(const WireClient&) = delete;
-
-  bool connected() const { return connected_; }
-  int fd() const { return fd_; }
-
-  bool SendAll(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  std::string RoundTrip(const std::string& request) {
-    if (!SendAll(request + "\n")) return "";
-    return ReadLine();
-  }
-
-  std::string ReadLine() {
-    size_t newline;
-    while ((newline = buffer_.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-    std::string line = buffer_.substr(0, newline);
-    buffer_.erase(0, newline + 1);
-    return line;
-  }
-
-  /// One recommend round trip over whichever protocol this client speaks.
-  RequestResult Recommend(UserId user, Timestamp now, int32_t k) {
-    RequestResult result;
-    if (binary_) {
-      serve::WireRequest request;
-      request.op = serve::WireRequest::Op::kRecommend;
-      request.user = user;
-      request.now = now;
-      request.k = k;
-      std::string out;
-      serve::AppendBinaryRequest(&out, request);
-      serve::BinaryOp op;
-      std::string payload;
-      serve::BinaryRecommendResponse response;
-      result.ok = SendAll(out) &&
-                  serve::ReadBinaryFrameBlocking(fd_, &op, &payload).ok() &&
-                  op == serve::BinaryOp::kRecommend &&
-                  serve::ParseBinaryRecommendResponse(payload, &response).ok();
-      if (result.ok) {
-        result.degraded = response.degraded;
-        result.hit = response.cache_hit;
-      }
-      return result;
-    }
-    const std::string reply = RoundTrip(
-        "{\"op\":\"recommend\",\"user\":" + std::to_string(user) +
-        ",\"now\":" + std::to_string(now) + ",\"k\":" + std::to_string(k) +
-        "}");
-    result.ok = reply.find("\"ok\":true") != std::string::npos;
-    result.degraded = reply.find("\"degraded\":true") != std::string::npos;
-    result.hit = reply.find("\"cache_hit\":true") != std::string::npos;
-    return result;
-  }
-
-  /// Publishes one event; returns its sequence number, 0 on failure.
-  uint64_t PublishEvent(const RetweetEvent& e) {
-    if (binary_) {
-      serve::WireRequest request;
-      request.op = serve::WireRequest::Op::kEvent;
-      request.tweet = e.tweet;
-      request.user = e.user;
-      request.time = e.time;
-      std::string out;
-      serve::AppendBinaryRequest(&out, request);
-      serve::BinaryOp op;
-      std::string payload;
-      uint64_t seq = 0;
-      if (!SendAll(out) ||
-          !serve::ReadBinaryFrameBlocking(fd_, &op, &payload).ok() ||
-          op != serve::BinaryOp::kEvent ||
-          !serve::ParseBinaryU64(payload, &seq).ok()) {
-        return 0;
-      }
-      return seq;
-    }
-    const std::string ack = RoundTrip(
-        "{\"op\":\"event\",\"tweet\":" + std::to_string(e.tweet) +
-        ",\"user\":" + std::to_string(e.user) + ",\"time\":" +
-        std::to_string(e.time) + "}");
-    const size_t pos = ack.find("\"seq\":");
-    if (pos == std::string::npos) return 0;
-    return static_cast<uint64_t>(
-        std::strtoull(ack.c_str() + pos + 6, nullptr, 10));
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  bool binary_ = false;
-  std::string buffer_;
-};
-
 /// One full two-phase run against a fixed shard count.
 struct LoadConfig {
   int64_t total_requests = 60000;
-  int32_t num_threads = 4;
-  Timestamp cache_ttl = kSecondsPerDay;
-  int64_t deadline_us = 0;
-  int64_t refresh_events = 2000;
   int32_t num_shards = 1;
-  bool use_tcp = false;
-  /// TCP legs speak the SGRQ binary framing instead of NDJSON.
-  bool use_binary = false;
   /// When set, every leg serves from this one pinned mmap'd graph image
   /// and `dataset_override` (the graph-stripped dataset) replaces
   /// bench::BenchDataset().
@@ -314,17 +122,20 @@ struct LoadResult {
   double apply_per_event_us = 0;
 };
 
-std::unique_ptr<serve::ShardedService> MakeService(const LoadConfig& config) {
+serve::ServingSimGraphOptions BuilderOptions(const LoadConfig& config) {
   serve::ServingSimGraphOptions rec_options;
   rec_options.graph = bench::BenchSimGraphOptions();
-  rec_options.snapshot_refresh_events = config.refresh_events;
+  rec_options.snapshot_refresh_events = kRefreshEvents;
   rec_options.graph_image = config.graph_image;
+  return rec_options;
+}
+
+std::unique_ptr<serve::ShardedService> MakeService(const LoadConfig& config) {
   serve::ShardedServiceOptions options;
   options.num_shards = config.num_shards;
-  options.shard_options.cache_ttl = config.cache_ttl;
-  options.shard_options.deadline =
-      std::chrono::microseconds(config.deadline_us);
-  return std::make_unique<serve::ShardedService>(rec_options, options);
+  options.shard_options.cache_ttl = kCacheTtl;
+  return std::make_unique<serve::ShardedService>(BuilderOptions(config),
+                                                 options);
 }
 
 /// Runs both load phases against a freshly built ShardedService and
@@ -349,23 +160,9 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
   }
   service.Start();
 
-  std::unique_ptr<serve::TcpServer> server;
-  if (config.use_tcp) {
-    server = std::make_unique<serve::TcpServer>(&service);
-    const Status started = server->Start(0);
-    if (!started.ok()) {
-      std::cerr << started.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "TCP mode: driving the "
-              << (config.use_binary ? "SGRQ binary" : "NDJSON")
-              << " front-end on port " << server->port() << "\n";
-  }
-
   const int64_t num_events = dataset.num_retweets() - protocol.train_end;
   const int64_t closed_requests = config.total_requests * 2 / 3;
   const int64_t open_requests = config.total_requests - closed_requests;
-  const int32_t num_threads = config.num_threads;
 
   // The simulated "now" tracks the last published event so requests ask
   // about the stream's current edge, like a live system would.
@@ -375,43 +172,23 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
 
   // --- phase 1: closed loop concurrent with the full event replay -----
   std::thread producer([&] {
-    std::unique_ptr<WireClient> client;
-    if (config.use_tcp) {
-      client = std::make_unique<WireClient>(server->port(),
-                                            config.use_binary);
-      if (!client->connected()) client = nullptr;
-    }
     for (int64_t i = protocol.train_end; i < dataset.num_retweets(); ++i) {
       const RetweetEvent& e = dataset.retweets[static_cast<size_t>(i)];
-      if (client != nullptr) {
-        const uint64_t seq = client->PublishEvent(e);
-        if (seq > 0) last_seq.store(seq, std::memory_order_relaxed);
-      } else {
-        last_seq.store(service.Publish(e), std::memory_order_relaxed);
-      }
+      last_seq.store(service.Publish(e), std::memory_order_relaxed);
       sim_now.store(e.time, std::memory_order_relaxed);
     }
     replay_done.store(true);
   });
 
-  std::vector<WorkerTally> tallies(static_cast<size_t>(num_threads));
+  std::vector<WorkerTally> tallies(static_cast<size_t>(kWorkerThreads));
   std::atomic<int64_t> issued{0};
   const auto closed_start = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> workers;
-    for (int32_t t = 0; t < num_threads; ++t) {
+    for (int32_t t = 0; t < kWorkerThreads; ++t) {
       workers.emplace_back([&, t] {
         WorkerTally& tally = tallies[static_cast<size_t>(t)];
         Rng rng(0x5eed5 + static_cast<uint64_t>(t));
-        std::unique_ptr<WireClient> client;
-        if (config.use_tcp) {
-          client = std::make_unique<WireClient>(server->port(),
-                                                config.use_binary);
-          if (!client->connected()) {
-            ++tally.failures;
-            return;
-          }
-        }
         while (true) {
           const int64_t i = issued.fetch_add(1);
           // Keep the load generator running until the replay finishes,
@@ -422,20 +199,12 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
               protocol.panel[static_cast<size_t>(rng.NextBounded(
                   static_cast<uint64_t>(protocol.panel.size())))];
           const Timestamp now = sim_now.load(std::memory_order_relaxed);
-          RequestResult result;
-          if (client != nullptr) {
-            result = client->Recommend(user, now, 30);
-          } else {
-            const serve::RecommendResponse response =
-                service.Recommend({user, now, 30});
-            result.ok = response.status.ok();
-            result.degraded = response.degraded;
-            result.hit = response.cache_hit;
-          }
+          const serve::RecommendResponse response =
+              service.Recommend({user, now, 30});
           ++tally.requests;
-          if (!result.ok) ++tally.failures;
-          if (result.degraded) ++tally.degraded;
-          if (result.hit) ++tally.hits;
+          if (!response.status.ok()) ++tally.failures;
+          if (response.degraded) ++tally.degraded;
+          if (response.cache_hit) ++tally.hits;
         }
       });
     }
@@ -457,22 +226,13 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
   const auto open_start = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> workers;
-    for (int32_t t = 0; t < num_threads; ++t) {
+    for (int32_t t = 0; t < kWorkerThreads; ++t) {
       workers.emplace_back([&, t] {
         WorkerTally& tally = tallies[static_cast<size_t>(t)];
         Rng rng(0xfeed5 + static_cast<uint64_t>(t));
-        std::unique_ptr<WireClient> client;
-        if (config.use_tcp) {
-          client = std::make_unique<WireClient>(server->port(),
-                                                config.use_binary);
-          if (!client->connected()) {
-            ++tally.failures;
-            return;
-          }
-        }
-        const int64_t mine = open_requests / num_threads +
-                             (t < open_requests % num_threads ? 1 : 0);
-        const double interval_s = num_threads / open_rate;
+        const int64_t mine = open_requests / kWorkerThreads +
+                             (t < open_requests % kWorkerThreads ? 1 : 0);
+        const double interval_s = kWorkerThreads / open_rate;
         for (int64_t i = 0; i < mine; ++i) {
           // Fixed arrival schedule: sojourn time is measured from the
           // *scheduled* arrival, so a slow service accrues queueing
@@ -482,23 +242,15 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
                                std::chrono::steady_clock::duration>(
                                std::chrono::duration<double>(
                                    (i + static_cast<double>(t) /
-                                            num_threads) *
+                                            kWorkerThreads) *
                                    interval_s));
           std::this_thread::sleep_until(scheduled);
           const UserId user =
               protocol.panel[static_cast<size_t>(rng.NextBounded(
                   static_cast<uint64_t>(protocol.panel.size())))];
           const Timestamp now = sim_now.load(std::memory_order_relaxed);
-          RequestResult result;
-          if (client != nullptr) {
-            result = client->Recommend(user, now, 30);
-          } else {
-            const serve::RecommendResponse response =
-                service.Recommend({user, now, 30});
-            result.ok = response.status.ok();
-            result.degraded = response.degraded;
-            result.hit = response.cache_hit;
-          }
+          const serve::RecommendResponse response =
+              service.Recommend({user, now, 30});
           const double sojourn =
               std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - scheduled)
@@ -506,9 +258,9 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
           SIMGRAPH_HISTOGRAM_RECORD("serve.open_loop.sojourn_seconds",
                                     sojourn);
           ++tally.requests;
-          if (!result.ok) ++tally.failures;
-          if (result.degraded) ++tally.degraded;
-          if (result.hit) ++tally.hits;
+          if (!response.status.ok()) ++tally.failures;
+          if (response.degraded) ++tally.degraded;
+          if (response.cache_hit) ++tally.hits;
         }
       });
     }
@@ -529,7 +281,6 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
           .count();
   SIMGRAPH_GAUGE_SET("serve.bench.drain_wait_seconds", drain_wait_seconds);
   service.Stop();
-  if (server != nullptr) server->Stop();
   const double open_throughput =
       open_requests / std::max(open_seconds, 1e-9);
   SIMGRAPH_GAUGE_SET("serve.bench.closed_loop_req_per_s", closed_throughput);
@@ -560,7 +311,7 @@ int RunLoadPhases(const LoadConfig& config, LoadResult* out) {
       registry.histogram("serve.ingest.delta.batch_events");
 
   TableWriter table("Serving load (" + std::to_string(config.num_shards) +
-                    " shards, delta ingest, " + std::to_string(num_threads) +
+                    " shards, delta ingest, " + std::to_string(kWorkerThreads) +
                     " workers, " + std::to_string(num_events) +
                     " events replayed)");
   table.SetHeader({"metric", "value"});
@@ -659,15 +410,11 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
     return 1;
   }
 
-  serve::ServingSimGraphOptions rec_options;
-  rec_options.graph = bench::BenchSimGraphOptions();
-  rec_options.snapshot_refresh_events = config.refresh_events;
-  rec_options.graph_image = config.graph_image;
   serve::ShardedServiceOptions options;
   options.num_shards = config.num_shards;
-  options.shard_options.cache_ttl = config.cache_ttl;
+  options.shard_options.cache_ttl = kCacheTtl;
   options.replication = &fanout;
-  serve::ShardedService service(rec_options, options);
+  serve::ShardedService service(BuilderOptions(config), options);
   std::cout << "remote leg: training builder (" << config.num_shards
             << " local shard" << (config.num_shards == 1 ? "" : "s")
             << ") + " << num_remote << " socket-fed replicas...\n";
@@ -703,7 +450,7 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
         std::make_unique<serve::DeltaApplierRecommender>(applier_options);
     serve::DeltaApplierRecommender* applier_ptr = applier.get();
     serve::ServiceOptions service_options;
-    service_options.cache_ttl = config.cache_ttl;
+    service_options.cache_ttl = kCacheTtl;
     replica.service = std::make_unique<serve::RecommendationService>(
         std::move(applier), service_options);
     if (const Status trained =
@@ -798,378 +545,6 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
   return 0;
 }
 
-// --- wire-format A/B: NDJSON round trips vs pipelined SGRQ binary ------
-//
-// Serves the same recommend-only load twice from ONE trained service:
-//
-//   ndjson_unbatched — NDJSON clients doing one-at-a-time round trips,
-//                      the debuggable default every tool ships with;
-//                      closed-loop, so its throughput is the protocol's
-//                      saturation rate and its latency an honest RTT;
-//   binary_batched   — SGRQ binary clients on an OPEN-LOOP arrival
-//                      schedule paced at `rate_mult` times the NDJSON
-//                      leg's just-measured throughput, pipelining every
-//                      due request immediately (bursts are served as
-//                      router batches) with at most `depth` in flight.
-//
-// The binary leg's latency is measured from each request's *scheduled*
-// arrival to its response (no coordinated omission): if the binary path
-// could not actually sustain rate_mult times the NDJSON rate, requests
-// pile up against the in-flight cap and the schedule slips, so the
-// excess shows up in p99 instead of silently stretching the run. The
-// headline claim — rate_mult more throughput at equal-or-better p99 —
-// is therefore measured at the claimed operating point, not inferred.
-struct WireLegStats {
-  double req_per_s = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  int64_t failures = 0;
-};
-
-struct WireAbResult {
-  int32_t depth = 16;
-  int32_t threads = 8;
-  int64_t requests = 20000;
-  /// > 0 paces the binary leg open-loop at this multiple of the NDJSON
-  /// leg's measured saturation throughput; 0 runs it closed loop at the
-  /// full in-flight cap. Either way latency is the client-observed RTT
-  /// from the actual send — the same accounting as the NDJSON leg.
-  double rate_mult = 1.6;
-  WireLegStats ndjson;
-  WireLegStats binary;
-  double speedup = 0;     ///< binary req/s over NDJSON req/s
-  double p99_ratio = 0;   ///< binary p99 over NDJSON p99 (<= 1 is better)
-};
-
-/// `rate_per_s` 0 = closed-loop one-at-a-time round trips; > 0 = the
-/// open-loop pipelined schedule described above (binary only).
-WireLegStats RunWireLeg(uint16_t port, bool binary, int32_t depth,
-                        int64_t requests, int32_t num_threads,
-                        const std::vector<UserId>& panel, Timestamp now,
-                        double rate_per_s) {
-  WireLegStats stats;
-  std::vector<std::vector<double>> samples(
-      static_cast<size_t>(num_threads));
-  std::atomic<int64_t> failures{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  for (int32_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      std::vector<double>& mine = samples[static_cast<size_t>(t)];
-      const int64_t quota = requests / num_threads +
-                            (t < requests % num_threads ? 1 : 0);
-      mine.reserve(static_cast<size_t>(quota));
-      Rng rng(0x3b1a5 + static_cast<uint64_t>(t));
-      WireClient client(port, binary);
-      if (!client.connected()) {
-        failures.fetch_add(quota);
-        return;
-      }
-      const auto pick = [&] {
-        return panel[static_cast<size_t>(
-            rng.NextBounded(static_cast<uint64_t>(panel.size())))];
-      };
-      if (!binary || depth <= 1) {
-        for (int i = 0; i < 64; ++i) {
-          if (!client.Recommend(pick(), now, 30).ok) {
-            failures.fetch_add(quota);
-            return;
-          }
-        }
-        for (int64_t i = 0; i < quota; ++i) {
-          const auto sent = std::chrono::steady_clock::now();
-          const RequestResult result = client.Recommend(pick(), now, 30);
-          if (!result.ok) failures.fetch_add(1);
-          mine.push_back(std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - sent)
-                             .count());
-        }
-        return;
-      }
-      // Pipelined binary: keep up to `depth` requests in flight. With
-      // rate_per_s > 0 each request is OFFERED at a fixed open-loop
-      // arrival time (so throughput is the offered rate, not a closed
-      // loop's self-throttled one); with rate_per_s == 0 the loop is
-      // closed and sends whenever a slot frees. Latency always runs
-      // from the actual send — the same client-observed-RTT accounting
-      // as the serial NDJSON leg. Responses come back in order, so the
-      // oldest outstanding slot matches the next response read.
-      const bool paced = rate_per_s > 0;
-      const double interval_s = paced ? num_threads / rate_per_s : 0;
-      // Warm the full request path (connection buffers, allocator, shard
-      // caches) with unrecorded round trips, THEN anchor the open-loop
-      // schedule at a time the client is actually ready to send.
-      // Anchoring at `start` would bill thread spawn + connect +
-      // handshake as lateness against every early scheduled arrival.
-      for (int i = 0; i < 64; ++i) {
-        if (!client.Recommend(pick(), now, 30).ok) {
-          failures.fetch_add(quota);
-          return;
-        }
-      }
-      const auto origin =
-          std::max(start, std::chrono::steady_clock::now());
-      const auto scheduled_at = [&](int64_t i) {
-        return origin + std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(
-                                (static_cast<double>(i) +
-                                 static_cast<double>(t) / num_threads) *
-                                interval_s));
-      };
-      std::vector<std::chrono::steady_clock::time_point> slots(
-          static_cast<size_t>(quota));
-      std::vector<std::chrono::steady_clock::time_point> sent_at(
-          static_cast<size_t>(quota));
-      int64_t issued = 0, completed = 0;
-      bool dead = false;
-      std::string out;
-      // Coalesced I/O: the client and server share this machine's cores,
-      // so client syscalls compete with the server for CPU. One send()
-      // carries every due request and one recv() typically carries many
-      // responses, keeping the client's cost per request well under the
-      // pacing interval.
-      std::string rbuf;
-      size_t rpos = 0;
-      const auto read_response = [&]() -> bool {
-        while (true) {
-          if (rbuf.size() - rpos >= serve::kBinaryFrameHeaderBytes) {
-            const unsigned char* head =
-                reinterpret_cast<const unsigned char*>(rbuf.data() + rpos);
-            const uint32_t len =
-                static_cast<uint32_t>(head[0]) |
-                static_cast<uint32_t>(head[1]) << 8 |
-                static_cast<uint32_t>(head[2]) << 16 |
-                static_cast<uint32_t>(head[3]) << 24;
-            const auto op = static_cast<serve::BinaryOp>(head[4]);
-            if (rbuf.size() - rpos >=
-                serve::kBinaryFrameHeaderBytes + len) {
-              const std::string_view payload(
-                  rbuf.data() + rpos + serve::kBinaryFrameHeaderBytes,
-                  len);
-              rpos += serve::kBinaryFrameHeaderBytes + len;
-              serve::BinaryRecommendResponse response;
-              return op == serve::BinaryOp::kRecommend &&
-                     serve::ParseBinaryRecommendResponse(payload, &response)
-                         .ok();
-            }
-          }
-          if (rpos == rbuf.size()) {
-            rbuf.clear();
-            rpos = 0;
-          } else if (rpos > (64u << 10)) {
-            rbuf.erase(0, rpos);
-            rpos = 0;
-          }
-          char chunk[65536];
-          const ssize_t n = recv(client.fd(), chunk, sizeof(chunk), 0);
-          if (n <= 0) return false;
-          rbuf.append(chunk, static_cast<size_t>(n));
-        }
-      };
-      while (completed < quota && !dead) {
-        const auto clock_now = std::chrono::steady_clock::now();
-        out.clear();
-        while (issued < quota && issued - completed < depth &&
-               (!paced || scheduled_at(issued) <= clock_now)) {
-          serve::WireRequest request;
-          request.op = serve::WireRequest::Op::kRecommend;
-          request.user = pick();
-          request.now = now;
-          request.k = 30;
-          serve::AppendBinaryRequest(&out, request);
-          slots[static_cast<size_t>(issued)] =
-              paced ? scheduled_at(issued) : clock_now;
-          sent_at[static_cast<size_t>(issued)] = clock_now;
-          ++issued;
-        }
-        if (!out.empty()) {
-          if (!client.SendAll(out)) dead = true;
-          continue;
-        }
-        if (issued - completed > 0) {
-          if (!read_response()) {
-            dead = true;
-            break;
-          }
-          const auto done = std::chrono::steady_clock::now();
-          // Latency is the client-observed RTT from the moment the
-          // request entered the send buffer — the same accounting the
-          // serial NDJSON leg uses, so the two legs compare the wire
-          // format, not the accounting convention. The pacing schedule
-          // still controls WHEN requests are offered (open-loop
-          // throughput), and scheduled-arrival lateness is reported
-          // separately under SIMGRAPH_BENCH_WIRE_DEBUG.
-          const double total =
-              std::chrono::duration<double, std::micro>(
-                  done - sent_at[static_cast<size_t>(completed)])
-                  .count();
-          if (total > 500 && std::getenv("SIMGRAPH_BENCH_WIRE_DEBUG")) {
-            const double sched_late =
-                std::chrono::duration<double, std::micro>(
-                    done - slots[static_cast<size_t>(completed)])
-                    .count();
-            fprintf(stderr,
-                    "wire-debug: sample %lld rtt=%.0fus from_sched=%.0fus\n",
-                    static_cast<long long>(completed), total, sched_late);
-          }
-          mine.push_back(total);
-          ++completed;
-          continue;
-        }
-        // Spin to the next arrival rather than sleeping: it is at most
-        // one pacing interval away (microseconds), and on a small or
-        // virtualized host letting the core go idle costs multi-ms
-        // wakeup stalls that get billed to the server's tail.
-        const auto due = scheduled_at(issued);
-        while (std::chrono::steady_clock::now() < due) {
-#if defined(__x86_64__)
-          __builtin_ia32_pause();
-#endif
-        }
-      }
-      if (dead) failures.fetch_add(quota - completed);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::vector<double> all;
-  for (const auto& part : samples) {
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  std::sort(all.begin(), all.end());
-  const auto percentile = [&all](double q) {
-    if (all.empty()) return 0.0;
-    const size_t index = static_cast<size_t>(
-        q * static_cast<double>(all.size() - 1));
-    return all[index];
-  };
-  stats.req_per_s =
-      static_cast<double>(all.size()) / std::max(seconds, 1e-9);
-  stats.p50_us = percentile(0.50);
-  stats.p99_us = percentile(0.99);
-  stats.failures = failures.load();
-  return stats;
-}
-
-int RunWireAb(const LoadConfig& config, WireAbResult* out) {
-  const Dataset& dataset = config.dataset_override != nullptr
-                               ? *config.dataset_override
-                               : bench::BenchDataset();
-  const EvalProtocol& protocol = bench::BenchProtocol();
-  std::unique_ptr<serve::ShardedService> service_ptr = MakeService(config);
-  serve::ShardedService& service = *service_ptr;
-  std::cout << "wire A/B: training " << config.num_shards << " shard"
-            << (config.num_shards == 1 ? "" : "s") << "...\n";
-  if (const Status trained = service.Train(dataset, protocol.train_end);
-      !trained.ok()) {
-    std::cerr << trained.ToString() << "\n";
-    return 1;
-  }
-  service.Start();
-  serve::TcpServer server(&service);
-  if (const Status started = server.Start(0); !started.ok()) {
-    std::cerr << started.ToString() << "\n";
-    return 1;
-  }
-
-  // Interleaved halves (A B A B) so machine drift lands on both legs;
-  // each binary leg is paced off the NDJSON half that just ran.
-  const Timestamp now = protocol.split_time;
-  // Warm every panel user's result-cache entry before either leg runs.
-  // `now` is pinned, so a warmed entry never expires — but a user the
-  // random pick never touched costs a full propagation (milliseconds) on
-  // first contact, and one such recompute mid-leg backs up the paced
-  // pipeline enough to poison its p99.
-  {
-    WireClient warmer(server.port(), /*binary=*/false);
-    if (!warmer.connected()) {
-      std::cerr << "wire A/B: warmup connect failed\n";
-      return 1;
-    }
-    for (const UserId user : protocol.panel) {
-      if (!warmer.Recommend(user, now, 30).ok) {
-        std::cerr << "wire A/B: warmup recommend failed\n";
-        return 1;
-      }
-    }
-  }
-  const int64_t half = out->requests / 2;
-  const WireLegStats nd1 =
-      RunWireLeg(server.port(), /*binary=*/false, 1, half,
-                 out->threads, protocol.panel, now, /*rate_per_s=*/0);
-  // A paced binary leg runs on ONE pipelined connection: it sustains the
-  // whole offered rate by itself (that is the point of pipelining), and
-  // on a small machine a fleet of mostly-sleeping payer threads would
-  // bill their own scheduler wakeup jitter to the server's p99.
-  const int32_t binary_threads =
-      out->rate_mult > 0 ? 1 : out->threads;
-  const WireLegStats bin1 =
-      RunWireLeg(server.port(), /*binary=*/true, out->depth, half,
-                 binary_threads, protocol.panel, now,
-                 out->rate_mult * nd1.req_per_s);
-  const WireLegStats nd2 =
-      RunWireLeg(server.port(), /*binary=*/false, 1, out->requests - half,
-                 out->threads, protocol.panel, now, /*rate_per_s=*/0);
-  const WireLegStats bin2 =
-      RunWireLeg(server.port(), /*binary=*/true, out->depth,
-                 out->requests - half, binary_threads, protocol.panel,
-                 now, out->rate_mult * nd2.req_per_s);
-  server.Stop();
-  service.Stop();
-
-  if (std::getenv("SIMGRAPH_BENCH_WIRE_DEBUG")) {
-    fprintf(stderr,
-            "wire-debug: halves nd1 %.0f/%.1f/%.1f bin1 %.0f/%.1f/%.1f "
-            "nd2 %.0f/%.1f/%.1f bin2 %.0f/%.1f/%.1f (req_per_s/p50/p99)\n",
-            nd1.req_per_s, nd1.p50_us, nd1.p99_us, bin1.req_per_s,
-            bin1.p50_us, bin1.p99_us, nd2.req_per_s, nd2.p50_us,
-            nd2.p99_us, bin2.req_per_s, bin2.p50_us, bin2.p99_us);
-  }
-
-  const auto merge = [](const WireLegStats& a, const WireLegStats& b) {
-    WireLegStats merged;
-    merged.req_per_s = (a.req_per_s + b.req_per_s) / 2;
-    merged.p50_us = std::max(a.p50_us, b.p50_us);
-    merged.p99_us = std::max(a.p99_us, b.p99_us);
-    merged.failures = a.failures + b.failures;
-    return merged;
-  };
-  out->ndjson = merge(nd1, nd2);
-  out->binary = merge(bin1, bin2);
-  out->speedup =
-      out->binary.req_per_s / std::max(out->ndjson.req_per_s, 1e-9);
-  out->p99_ratio =
-      out->binary.p99_us / std::max(out->ndjson.p99_us, 1e-9);
-
-  TableWriter table(
-      "Wire A/B (" + std::to_string(out->requests) + " recommends per leg, " +
-      std::to_string(out->threads) + " clients, binary " +
-      (out->rate_mult > 0
-           ? "paced open-loop at " + std::to_string(out->rate_mult) +
-                 "x NDJSON rate"
-           : std::string("closed-loop")) +
-      ", in-flight cap " + std::to_string(out->depth) + ")");
-  table.SetHeader({"leg", "req/s", "p50 (us)", "p99 (us)", "failed"});
-  table.AddRow({TableWriter::Cell("ndjson unbatched"),
-                TableWriter::Cell(out->ndjson.req_per_s),
-                TableWriter::Cell(out->ndjson.p50_us),
-                TableWriter::Cell(out->ndjson.p99_us),
-                TableWriter::Cell(out->ndjson.failures)});
-  table.AddRow({TableWriter::Cell("binary batched"),
-                TableWriter::Cell(out->binary.req_per_s),
-                TableWriter::Cell(out->binary.p50_us),
-                TableWriter::Cell(out->binary.p99_us),
-                TableWriter::Cell(out->binary.failures)});
-  table.Print(std::cout);
-  std::cout << "wire: binary+batched reaches " << out->speedup
-            << "x NDJSON-unbatched throughput at " << out->p99_ratio
-            << "x its p99\n";
-  return out->ndjson.failures + out->binary.failures > 0 ? 1 : 0;
-}
-
 std::vector<int32_t> ParseShardSweep(const std::string& spec) {
   std::vector<int32_t> counts;
   std::stringstream stream(spec);
@@ -1215,17 +590,16 @@ void WriteLegJson(std::ostream& out, const LoadResult& leg,
 
 // --- soak mode: minute-scale drift series with a hostile hot-key leg ---
 //
-// `--soak-seconds=N` (or SIMGRAPH_BENCH_SERVE_SOAK_SECONDS) switches the
-// bench from the two-phase saturation run to a paced soak: an open-loop
-// request schedule plus a paced event replay run for N wall seconds,
-// with a TimeseriesRecorder closing one telemetry window per
-// SIMGRAPH_BENCH_SOAK_WINDOW_MS. Two legs run back to back:
+// `--soak-seconds=N` runs a paced soak instead of the saturation legs: an
+// open-loop request schedule plus a paced event replay run for N wall
+// seconds, with a TimeseriesRecorder closing one telemetry window per
+// kSoakWindowMs. Two legs run back to back:
 //
 //   clean  — uniform panel requests the whole run: the steady-state
 //            reference series;
 //   hotkey — the middle third of the run degenerates into hot-key skew
 //            against the ResultCache (ROADMAP "hostile workloads"):
-//            requests concentrate on SIMGRAPH_BENCH_SOAK_HOT_USERS hot
+//            requests concentrate on kSoakHotUsers hot
 //            panel users while the producer publishes a burst of events
 //            authored by those same users, so their cache rows are
 //            invalidated as fast as they are refilled — a per-window
@@ -1235,14 +609,15 @@ void WriteLegJson(std::ostream& out, const LoadResult& leg,
 // The per-window series plus a post-warmup summary per leg is written to
 // SIMGRAPH_BENCH_SOAK_SNAPSHOT (BENCH_soak.json); tools/timeseries_diff
 // gates its shape (clean leg must pass, hotkey leg must trip).
+constexpr int64_t kSoakWindowMs = 1000;
+constexpr double kSoakReqPerS = 2000;
+constexpr double kSoakEventsPerS = 200;
+constexpr int32_t kSoakHotUsers = 4;
+/// Simulated seconds per wall second for the synthetic event clock.
+constexpr double kSoakTimeScale = 60;
+
 struct SoakParams {
   int64_t soak_seconds = 0;
-  int64_t window_ms = 1000;
-  double req_per_s = 2000;
-  double events_per_s = 200;
-  int32_t hot_users = 4;
-  // Simulated seconds per wall second for the synthetic event clock.
-  double time_scale = 60;
   std::string snapshot_path;
 };
 
@@ -1300,9 +675,9 @@ int RunSoakLeg(const LoadConfig& config, const SoakParams& soak,
 
   serve::WindowTelemetryPublisher publisher(&service);
   timeseries::TimeseriesRecorder::Options rec_options =
-      publisher.RecorderOptions(soak.window_ms);
+      publisher.RecorderOptions(kSoakWindowMs);
   rec_options.ring_capacity = static_cast<int32_t>(
-      soak.soak_seconds * 1000 / std::max<int64_t>(soak.window_ms, 1) + 16);
+      soak.soak_seconds * 1000 / kSoakWindowMs + 16);
   timeseries::TimeseriesRecorder recorder(rec_options);
   recorder.Start();
 
@@ -1317,7 +692,7 @@ int RunSoakLeg(const LoadConfig& config, const SoakParams& soak,
 
   std::vector<UserId> hot;
   for (size_t i = 0;
-       i < std::min<size_t>(static_cast<size_t>(std::max(soak.hot_users, 1)),
+       i < std::min<size_t>(static_cast<size_t>(kSoakHotUsers),
                             protocol.panel.size());
        ++i) {
     hot.push_back(protocol.panel[i]);
@@ -1348,7 +723,7 @@ int RunSoakLeg(const LoadConfig& config, const SoakParams& soak,
                                         start)
               .count();
       e.time = protocol.split_time +
-               static_cast<Timestamp>(elapsed_s * soak.time_scale);
+               static_cast<Timestamp>(elapsed_s * kSoakTimeScale);
       const bool hot_phase = in_hostile(std::chrono::steady_clock::now());
       if (hot_phase && !hot.empty()) {
         e.user = hot[static_cast<size_t>(i) % hot.size()];
@@ -1356,7 +731,7 @@ int RunSoakLeg(const LoadConfig& config, const SoakParams& soak,
       last_seq.store(service.Publish(e), std::memory_order_relaxed);
       sim_now.store(e.time, std::memory_order_relaxed);
       const double rate =
-          hot_phase ? soak.events_per_s * 10 : soak.events_per_s;
+          hot_phase ? kSoakEventsPerS * 10 : kSoakEventsPerS;
       next += std::chrono::duration_cast<
           std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(1.0 / std::max(rate, 1.0)));
@@ -1368,14 +743,14 @@ int RunSoakLeg(const LoadConfig& config, const SoakParams& soak,
   // is held constant across phases, so per-window hit rate and p99 are
   // comparable window to window — the whole point of the drift series.
   std::vector<std::thread> workers;
-  for (int32_t t = 0; t < config.num_threads; ++t) {
+  for (int32_t t = 0; t < kWorkerThreads; ++t) {
     workers.emplace_back([&, t] {
       Rng rng(0x50a7 + static_cast<uint64_t>(t));
-      const double interval_s = config.num_threads / soak.req_per_s;
+      const double interval_s = kWorkerThreads / kSoakReqPerS;
       auto next =
           start + std::chrono::duration_cast<
                       std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(t / soak.req_per_s));
+                      std::chrono::duration<double>(t / kSoakReqPerS));
       while (std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_until(next);
         next += std::chrono::duration_cast<
@@ -1572,11 +947,11 @@ int RunSoak(const LoadConfig& config, const SoakParams& soak) {
     snapshot << "{\n"
              << "  \"bench\": \"serving_soak\",\n"
              << "  \"soak_seconds\": " << soak.soak_seconds << ",\n"
-             << "  \"window_ms\": " << soak.window_ms << ",\n"
+             << "  \"window_ms\": " << kSoakWindowMs << ",\n"
              << "  \"num_shards\": " << config.num_shards << ",\n"
-             << "  \"req_per_s\": " << soak.req_per_s << ",\n"
-             << "  \"events_per_s\": " << soak.events_per_s << ",\n"
-             << "  \"hot_users\": " << soak.hot_users << ",\n"
+             << "  \"req_per_s\": " << kSoakReqPerS << ",\n"
+             << "  \"events_per_s\": " << kSoakEventsPerS << ",\n"
+             << "  \"hot_users\": " << kSoakHotUsers << ",\n"
              << "  \"legs\": {\n";
     WriteSoakLegJson(snapshot, clean);
     snapshot << ",\n";
@@ -1587,26 +962,48 @@ int RunSoak(const LoadConfig& config, const SoakParams& soak) {
   return 0;
 }
 
+int Usage() {
+  std::cerr << "usage: bench_serving_load [--shard-sweep=N[,N...]] "
+               "[--remote-shards=N] | --soak-seconds=N\n"
+               "  (at least one mode; end-to-end serving speed is "
+               "perfbench's, see perfbench/README.md)\n";
+  return 2;
+}
+
 int Run(int argc, char** argv) {
   const bench::ObservabilityGuard observability(argc, argv);
   // This bench reports through the metrics registry, so collection is
   // always on here regardless of SIMGRAPH_METRICS.
   metrics::SetEnabled(true);
 
+  std::string sweep_spec;
+  int32_t remote_shards = 0;
+  SoakParams soak;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::string prefix = "--shard-sweep=";
+    if (arg.rfind(prefix, 0) == 0) sweep_spec = arg.substr(prefix.size());
+    const std::string soak_prefix = "--soak-seconds=";
+    if (arg.rfind(soak_prefix, 0) == 0) {
+      soak.soak_seconds = std::stoll(arg.substr(soak_prefix.size()));
+    }
+    const std::string remote_prefix = "--remote-shards=";
+    if (arg.rfind(remote_prefix, 0) == 0) {
+      remote_shards = static_cast<int32_t>(
+          std::max<int64_t>(0, std::stoll(arg.substr(remote_prefix.size()))));
+    }
+  }
+  const std::vector<int32_t> shard_counts = ParseShardSweep(sweep_spec);
+  if (soak.soak_seconds <= 0 && shard_counts.empty() && remote_shards <= 0) {
+    return Usage();
+  }
+
   LoadConfig config;
   config.total_requests =
       std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_SERVE_REQUESTS", 60000));
-  config.num_threads = static_cast<int32_t>(
-      std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_SERVE_THREADS", 4)));
-  config.cache_ttl = GetEnvInt64("SIMGRAPH_BENCH_SERVE_TTL", kSecondsPerDay);
-  config.deadline_us = GetEnvInt64("SIMGRAPH_BENCH_SERVE_DEADLINE_US", 0);
-  config.refresh_events = GetEnvInt64("SIMGRAPH_BENCH_SERVE_REFRESH", 2000);
-  config.num_shards = static_cast<int32_t>(
-      std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_SERVE_SHARDS", 1)));
-  config.use_tcp = GetEnvInt64("SIMGRAPH_BENCH_SERVE_TCP", 0) != 0;
-  config.use_binary = GetEnvInt64("SIMGRAPH_BENCH_SERVE_BINARY", 0) != 0;
   const std::string snapshot_path =
       GetEnvString("SIMGRAPH_BENCH_SERVE_SNAPSHOT", "");
+  soak.snapshot_path = GetEnvString("SIMGRAPH_BENCH_SOAK_SNAPSHOT", "");
 
   // Graph-image mode: snapshot the bench follow graph once, mmap it
   // back, and hand every leg the same pinned image plus a dataset that
@@ -1637,59 +1034,10 @@ int Run(int argc, char** argv) {
               << (*image)->file_bytes() << " bytes mapped)\n";
   }
 
-  SoakParams soak;
-  soak.soak_seconds = GetEnvInt64("SIMGRAPH_BENCH_SERVE_SOAK_SECONDS", 0);
-  soak.window_ms =
-      std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_SOAK_WINDOW_MS", 1000));
-  soak.req_per_s = std::max<double>(
-      1, static_cast<double>(GetEnvInt64("SIMGRAPH_BENCH_SOAK_REQ_PER_S",
-                                         2000)));
-  soak.events_per_s = std::max<double>(
-      1, static_cast<double>(GetEnvInt64("SIMGRAPH_BENCH_SOAK_EVENTS_PER_S",
-                                         200)));
-  soak.hot_users = static_cast<int32_t>(
-      std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_SOAK_HOT_USERS", 4)));
-  soak.time_scale = std::max<double>(
-      1, static_cast<double>(
-             GetEnvInt64("SIMGRAPH_BENCH_SOAK_TIME_SCALE", 60)));
-  soak.snapshot_path = GetEnvString("SIMGRAPH_BENCH_SOAK_SNAPSHOT", "");
-
-  int32_t remote_shards = static_cast<int32_t>(std::max<int64_t>(
-      0, GetEnvInt64("SIMGRAPH_BENCH_SERVE_REMOTE_SHARDS", 0)));
-  bool wire_ab = GetEnvInt64("SIMGRAPH_BENCH_SERVE_WIRE_AB", 0) != 0;
-  WireAbResult wire;
-  wire.depth = static_cast<int32_t>(
-      std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_WIRE_DEPTH", 16)));
-  wire.requests = std::max<int64_t>(
-      2, GetEnvInt64("SIMGRAPH_BENCH_WIRE_REQUESTS", 20000));
-  wire.threads = static_cast<int32_t>(
-      std::max<int64_t>(1, GetEnvInt64("SIMGRAPH_BENCH_WIRE_THREADS", 8)));
-  wire.rate_mult =
-      std::max(0.0, GetEnvDouble("SIMGRAPH_BENCH_WIRE_RATE_MULT", 1.6));
-  std::string sweep_spec = GetEnvString("SIMGRAPH_BENCH_SERVE_SHARD_SWEEP", "");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--shard-sweep=";
-    if (arg.rfind(prefix, 0) == 0) sweep_spec = arg.substr(prefix.size());
-    const std::string soak_prefix = "--soak-seconds=";
-    if (arg.rfind(soak_prefix, 0) == 0) {
-      soak.soak_seconds = std::stoll(arg.substr(soak_prefix.size()));
-    }
-    const std::string remote_prefix = "--remote-shards=";
-    if (arg.rfind(remote_prefix, 0) == 0) {
-      remote_shards = static_cast<int32_t>(
-          std::max<int64_t>(0, std::stoll(arg.substr(remote_prefix.size()))));
-    }
-    if (arg == "--wire-ab") wire_ab = true;
-  }
   if (soak.soak_seconds > 0) {
     bench::PrintPreamble("serving soak");
     return RunSoak(config, soak);
   }
-  std::vector<int32_t> shard_counts = ParseShardSweep(sweep_spec);
-  const bool sweeping = shard_counts.size() > 1;
-  if (shard_counts.empty()) shard_counts = {config.num_shards};
-
   bench::PrintPreamble("serving load");
 
   std::vector<LoadResult> legs;
@@ -1706,7 +1054,8 @@ int Run(int argc, char** argv) {
     legs.push_back(result);
   }
 
-  if (sweeping) {
+  const bool scaling = legs.size() > 1;
+  if (scaling) {
     // Scaling relative to the first (fewest-shard) leg. The metric names
     // carry the better-direction for tools/metrics_diff: throughput
     // speedup is higher-better, the p99 latency ratio lower-better.
@@ -1750,43 +1099,35 @@ int Run(int argc, char** argv) {
     }
   }
 
-  if (wire_ab) {
-    if (const int rc = RunWireAb(config, &wire); rc != 0) return rc;
-  }
-
   int64_t failures = 0;
   for (const LoadResult& leg : legs) failures += leg.total.failures;
   if (has_remote) failures += remote.check_failures;
 
   if (!snapshot_path.empty()) {
     // Machine-readable summary for tools/metrics_diff: numeric leaves
-    // flatten to e.g. closed_loop.req_per_s and latency_us.p99, whose
-    // names carry the better-direction (see the metrics_diff header).
-    // The top-level fields describe the first leg, so a no-sweep run
-    // keeps the schema of the committed baseline; a sweep appends one
-    // "shard_sweep.sN" section per leg plus the "scaling" ratios.
+    // flatten to e.g. shard_sweep.s4.closed_loop.req_per_s and
+    // shard_sweep.s4.latency_us.p99, whose names carry the
+    // better-direction (see the metrics_diff header): one
+    // "shard_sweep.sN" section per leg, the "scaling" ratios when two or
+    // more legs ran, and the "remote" leg.
     std::ofstream snapshot(snapshot_path);
     if (!snapshot) {
       std::cerr << "cannot write " << snapshot_path << "\n";
     } else {
-      const LoadResult& head = legs.front();
-      snapshot << "{\n"
-               << "  \"bench\": \"serving_load\",\n"
-               << "  \"mode\": \"" << (config.use_tcp ? "tcp" : "inproc")
-               << "\",\n"
-               << "  \"num_shards\": " << head.num_shards << ",\n";
-      WriteLegJson(snapshot, head, "  ");
-      if (sweeping) {
-        const LoadResult& base = legs.front();
-        const LoadResult& top = legs.back();
+      snapshot << "{\n  \"bench\": \"serving_load\"";
+      if (!legs.empty()) {
         snapshot << ",\n  \"shard_sweep\": {\n";
         for (size_t i = 0; i < legs.size(); ++i) {
           snapshot << "    \"s" << legs[i].num_shards << "\": {\n";
           WriteLegJson(snapshot, legs[i], "      ");
           snapshot << "\n    }" << (i + 1 < legs.size() ? "," : "") << "\n";
         }
-        snapshot << "  },\n"
-                 << "  \"scaling\": {\n"
+        snapshot << "  }";
+      }
+      if (scaling) {
+        const LoadResult& base = legs.front();
+        const LoadResult& top = legs.back();
+        snapshot << ",\n  \"scaling\": {\n"
                  << "    \"shards\": " << top.num_shards << ",\n"
                  << "    \"closed_loop_speedup_throughput\": "
                  << top.closed_throughput /
@@ -1818,28 +1159,6 @@ int Run(int argc, char** argv) {
                  << ",\n"
                  << "    \"deltas_sent\": " << remote.deltas_sent << ",\n"
                  << "    \"degraded\": " << remote.degraded << "\n  }";
-      }
-      if (wire_ab) {
-        // binary_speedup_throughput flattens to a higher-is-better gate
-        // and latency_ratio_p99 to a lower-is-better gate in
-        // tools/metrics_diff: together they pin the binary+batched
-        // path's claim — more throughput at equal-or-better p99.
-        snapshot << ",\n  \"wire\": {\n"
-                 << "    \"pipeline_depth\": " << wire.depth << ",\n"
-                 << "    \"rate_mult\": " << wire.rate_mult << ",\n"
-                 << "    \"requests_per_leg\": " << wire.requests << ",\n"
-                 << "    \"ndjson_unbatched\": {\"req_per_s\": "
-                 << wire.ndjson.req_per_s
-                 << ", \"latency_us\": {\"p50\": " << wire.ndjson.p50_us
-                 << ", \"p99\": " << wire.ndjson.p99_us << "}},\n"
-                 << "    \"binary_batched\": {\"req_per_s\": "
-                 << wire.binary.req_per_s
-                 << ", \"latency_us\": {\"p50\": " << wire.binary.p50_us
-                 << ", \"p99\": " << wire.binary.p99_us << "}},\n"
-                 << "    \"binary_speedup_throughput\": " << wire.speedup
-                 << ",\n"
-                 << "    \"latency_ratio_p99\": " << wire.p99_ratio
-                 << "\n  }";
       }
       snapshot << "\n}\n";
       std::cout << "bench snapshot written to " << snapshot_path << "\n";

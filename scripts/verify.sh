@@ -9,9 +9,10 @@
 #       # additionally build the tsan preset and run the concurrency-
 #       # labelled tests under ThreadSanitizer
 #   SIMGRAPH_VERIFY_BENCH=1 scripts/verify.sh
-#       # additionally run the serving load bench, an ingest-focused
+#       # additionally record the end-to-end perfbench medians
+#       # (scripts/perfbench_record.py, ~10 min), an ingest-focused
 #       # delta-shipping smoke sweep, and the propagation kernel sweep,
-#       # gating their snapshots against the committed
+#       # gating them against the committed BENCH_perfbench.json /
 #       # BENCH_serving.json / BENCH_propagation.json baselines with
 #       # tools/metrics_diff
 #   SIMGRAPH_VERIFY_INGEST_REQUESTS=N scripts/verify.sh
@@ -96,21 +97,26 @@ fi
 endgroup
 
 if [[ "${SIMGRAPH_VERIFY_BENCH:-0}" == "1" ]]; then
-  group "serving load bench gate"
-  bench_snapshot="$selfcheck_dir/BENCH_serving.json"
-  SIMGRAPH_BENCH_SERVE_SNAPSHOT="$bench_snapshot" \
-    ./build/bench/bench_serving_load \
-    || fail 3 "serving load bench failed"
-  if [[ -f BENCH_serving.json ]]; then
-    # --allow-missing-keys: the committed baseline also carries
-    # shard-sweep legs this default run does not produce; candidate-only
-    # keys still fail (a new metric means the baseline needs refreshing).
-    ./build/tools/metrics_diff BENCH_serving.json "$bench_snapshot" \
-      --threshold=0.5 --allow-missing-keys \
-      || fail 4 "serving bench regressed against BENCH_serving.json"
-  else
-    echo "no committed BENCH_serving.json baseline; skipping diff"
-  fi
+  group "perfbench end-to-end gate"
+  # The real server and replica processes over TCP, every workload of
+  # BENCHMARK.json, medians of three seeds; thresholds and their reasons
+  # are in docs/ci.md (the same pair runs in CI's bench-smoke job).
+  perfbench_record="$selfcheck_dir/BENCH_perfbench.json"
+  python3 scripts/perfbench_record.py "$perfbench_record" \
+    || fail 3 "perfbench record failed (an incorrect run or failed ops)"
+  ./build/tools/metrics_diff BENCH_perfbench.json "$perfbench_record" \
+    --threshold=3.0 --threshold=.p99:4 --threshold=lag_ms.p99:20 \
+    --threshold=frontend.self_us.p99:500 \
+    --threshold=publish.block_us.p99:500 \
+    --threshold=read_path_sum_error:4 --threshold=batch_:1.0 \
+    --threshold=bytes:0.25 --threshold=deposits_per_event:0.25 \
+    --threshold=edge_ops_per_event:0.25 \
+    --threshold=invalidated_per_event:0.25 --threshold=shard_skew:0.25 \
+    --threshold=hit_ratio:0.25 --threshold=propagation_share:0.25 \
+    --threshold=setup_s:1.5 --threshold=read_p50_us:1.5 \
+    --threshold=cpu_us_per_op:1.5 --threshold=traced.:6 \
+    --threshold=server_rss_mb:0.25 --threshold=quality_hits:0 \
+    || fail 4 "perfbench regressed against BENCH_perfbench.json"
   endgroup
 
   group "ingest delta smoke gate"

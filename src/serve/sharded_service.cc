@@ -61,6 +61,12 @@ ShardedService::ShardedService(const ServingSimGraphOptions& simgraph_options,
 ShardedService::~ShardedService() { Stop(); }
 
 Status ShardedService::Train(const Dataset& dataset, int64_t train_end) {
+  if (source_->options().cold_start_fallback) {
+    // Shards answer from their own candidate tables; none pools a cold
+    // user's followees, so the option would be silently ignored.
+    return Status::InvalidArgument(
+        "cold_start_fallback is not supported by a sharded service");
+  }
   // The builder source and the shards are independent until seeding;
   // train them all in parallel, one thread each.
   std::vector<Status> statuses(shards_.size() + 1, Status::Ok());

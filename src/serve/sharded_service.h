@@ -94,7 +94,8 @@ class ShardedService : public ServingBackend {
 
   /// Trains the builder source and every shard (in parallel, one thread
   /// each), then seeds the appliers with the source's trained snapshot.
-  /// Call before Start.
+  /// Call before Start. InvalidArgument when the simgraph options set
+  /// cold_start_fallback, which the shards cannot honour.
   Status Train(const Dataset& dataset, int64_t train_end);
 
   /// Starts every shard's applier thread, then the pipeline. Idempotent.

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/similarity.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -35,17 +36,27 @@ Status SimGraphServingRecommender::Train(const Dataset& dataset,
   const Digraph& follow_graph = options_.graph_image != nullptr
                                     ? options_.graph_image->graph()
                                     : dataset.follow_graph;
-  if (options_.graph_image != nullptr && dataset.num_users() != 0 &&
-      dataset.num_users() != follow_graph.num_nodes()) {
+  if (dataset.num_users() != follow_graph.num_nodes()) {
     return Status::InvalidArgument(
-        "dataset population disagrees with the bound graph image");
+        "dataset population disagrees with the follow graph");
   }
   num_users_ = follow_graph.num_nodes();
   follow_graph_ = &follow_graph;
-  incremental_ =
-      std::make_unique<IncrementalSimGraph>(follow_graph, options_.graph);
-  SIMGRAPH_RETURN_IF_ERROR(incremental_->Initialize(dataset, train_end));
-  RefreshSnapshot();
+  if (options_.snapshot_refresh_events > 0) {
+    incremental_ =
+        std::make_unique<IncrementalSimGraph>(follow_graph, options_.graph);
+    SIMGRAPH_RETURN_IF_ERROR(incremental_->Initialize(dataset, train_end));
+    RefreshSnapshot();
+  } else {
+    // No refresh ever reads an incremental graph: build the snapshot
+    // once, on every core, exactly as IncrementalSimGraph seeds itself.
+    SimGraphOptions build_options = options_.graph;
+    build_options.num_threads = 0;
+    auto snapshot = std::make_shared<SimGraph>(BuildSimGraph(
+        follow_graph, ProfileStore(dataset, train_end), build_options));
+    snapshot->NumPresentNodes();
+    PublishSnapshot(std::move(snapshot));
+  }
 
   tweet_author_.clear();
   tweet_author_.reserve(dataset.tweets.size());
@@ -117,8 +128,8 @@ AffectedUsers SimGraphServingRecommender::ObserveRecordingDelta(
 
   // The similarity graph absorbs every event, known tweet or not: new
   // posts keep shaping user-user similarity even before they are part of
-  // the recommendable catalogue.
-  incremental_->Apply(event, delta);
+  // the recommendable catalogue. Without refreshes nothing reads it.
+  if (incremental_ != nullptr) incremental_->Apply(event, delta);
   ++observed_;
   if (options_.snapshot_refresh_events > 0 &&
       observed_ % options_.snapshot_refresh_events == 0) {

@@ -14,6 +14,7 @@
 #include "serve/candidate_state.h"
 #include "serve/serving_recommender.h"
 #include "store/graph_image.h"
+#include "util/logging.h"
 #include "util/metrics.h"
 
 namespace simgraph {
@@ -41,13 +42,16 @@ struct ServingSimGraphOptions {
   /// have no propagated candidates; when enabled, their recommendations
   /// are assembled from the candidates of the accounts they follow
   /// ("using the neighbourhood's computed recommendation of cold start
-  /// nodes"), scores scaled by 1/|followees consulted|. Reads served by
-  /// DeltaApplierRecommender shards never pool.
+  /// nodes"), scores scaled by 1/|followees consulted|. Only reads this
+  /// recommender serves itself pool: DeltaApplierRecommender shards
+  /// answer with their own candidates, so ShardedService::Train rejects
+  /// the option.
   bool cold_start_fallback = false;
   /// Re-materialise the CSR propagation snapshot from the incremental
   /// graph every this many applied events (epoch swap). 0 keeps the
   /// training-time graph forever: the offline evaluation setting, in
-  /// which the paper's figures are reproduced.
+  /// which the paper's figures are reproduced. With 0 no incremental
+  /// graph is built or maintained, and deltas carry no edge ops.
   int64_t snapshot_refresh_events = 0;
   /// When set, Train takes the follow graph from this pinned mmap'd
   /// SGCS image instead of dataset.follow_graph (which may then be
@@ -120,8 +124,15 @@ class SimGraphServingRecommender : public ServingRecommender {
   uint64_t graph_epoch() const;
 
   /// The live incremental graph (single-threaded access only: call while
-  /// the ingest thread is quiescent).
-  const IncrementalSimGraph& incremental() const { return *incremental_; }
+  /// the ingest thread is quiescent). Exists only when
+  /// snapshot_refresh_events > 0.
+  const IncrementalSimGraph& incremental() const {
+    SIMGRAPH_CHECK(incremental_ != nullptr)
+        << "no incremental graph: snapshot_refresh_events is 0";
+    return *incremental_;
+  }
+
+  const ServingSimGraphOptions& options() const { return options_; }
 
   /// Cumulative number of propagation runs (for Table 5 accounting).
   int64_t num_propagations() const { return num_propagations_; }
@@ -163,6 +174,7 @@ class SimGraphServingRecommender : public ServingRecommender {
   ServingSimGraphOptions options_;
   // The Train dataset's follow graph or the pinned image's; immutable.
   const Digraph* follow_graph_ = nullptr;
+  // Null when snapshot_refresh_events is 0.
   std::unique_ptr<IncrementalSimGraph> incremental_;
   /// Striped candidate/consumed state shared (by construction, not by
   /// reference) with DeltaApplierRecommender replicas.

@@ -114,6 +114,44 @@ then
   exit 1
 fi
 
+echo "== a declared \"better\" sets the direction of its object's leaves =="
+cat > "$TMP/declared.json" <<'EOF'
+{
+  "read_hot": {
+    "setup_s": {"value": 0.4, "unit": "s", "better": "lower"},
+    "quality_hits": {"value": 95, "unit": "count", "better": "higher"},
+    "cpu_us_per_op": {"value": 20.0, "unit": "us"}
+  }
+}
+EOF
+"$DIFF" "$TMP/declared.json" "$TMP/declared.json"
+
+echo "== ... lower: setup_s x4 fails, a faster set-up passes =="
+sed 's/"value": 0.4,/"value": 1.6,/' "$TMP/declared.json" > "$TMP/setup4.json"
+if "$DIFF" "$TMP/declared.json" "$TMP/setup4.json" --threshold=1.0 \
+    2>/dev/null; then
+  echo "declared lower-is-better leaf did not gate" >&2
+  exit 1
+fi
+sed 's/"value": 0.4,/"value": 0.2,/' "$TMP/declared.json" \
+  > "$TMP/setup_fast.json"
+"$DIFF" "$TMP/declared.json" "$TMP/setup_fast.json" --threshold=0
+
+echo "== ... higher: one hit fewer fails at threshold 0, one more passes =="
+sed 's/"value": 95,/"value": 94,/' "$TMP/declared.json" > "$TMP/hits_down.json"
+if "$DIFF" "$TMP/declared.json" "$TMP/hits_down.json" \
+    --threshold=quality_hits:0 2>/dev/null; then
+  echo "declared higher-is-better leaf did not gate" >&2
+  exit 1
+fi
+sed 's/"value": 95,/"value": 96,/' "$TMP/declared.json" > "$TMP/hits_up.json"
+"$DIFF" "$TMP/declared.json" "$TMP/hits_up.json" --threshold=quality_hits:0
+
+echo "== ... an object without \"better\" keeps the name rules (neutral) =="
+sed 's/"value": 20.0,/"value": 200.0,/' "$TMP/declared.json" \
+  > "$TMP/undeclared.json"
+"$DIFF" "$TMP/declared.json" "$TMP/undeclared.json" --threshold=0
+
 echo "== parse errors exit 2 =="
 echo "not json" > "$TMP/broken.json"
 set +e

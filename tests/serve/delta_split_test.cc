@@ -70,7 +70,11 @@ class DeltaSplitTest : public ::testing::Test {
     ASSERT_GT(num_test, 0);
     const int64_t events = std::min<int64_t>(num_test, 40);
 
-    SimGraphServingRecommender source;
+    // A refresh cadence keeps the incremental graph (and so the edge
+    // ops) without a refresh firing inside the recorded events.
+    ServingSimGraphOptions options;
+    options.snapshot_refresh_events = 1000;
+    SimGraphServingRecommender source(options);
     ASSERT_TRUE(source.Train(dataset, protocol.train_end).ok());
     for (int64_t i = 0; i < events; ++i) {
       source.ObserveRecordingDelta(

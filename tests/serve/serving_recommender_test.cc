@@ -148,7 +148,10 @@ TEST_F(ServingRecommenderTest, SnapshotRefreshAdvancesEpoch) {
 }
 
 TEST_F(ServingRecommenderTest, UnknownTweetEventOnlyFeedsTheGraph) {
-  SimGraphServingRecommender serving;
+  // The incremental graph exists only with a refresh cadence.
+  ServingSimGraphOptions options;
+  options.snapshot_refresh_events = 1000;
+  SimGraphServingRecommender serving(options);
   ASSERT_TRUE(serving.Train(dataset_, protocol_.train_end).ok());
   const uint64_t version_before = serving.incremental().version();
   RetweetEvent unknown;

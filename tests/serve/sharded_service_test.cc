@@ -255,6 +255,19 @@ TEST_F(ShardedServiceTest, DeltaShardsHoldOnlyTheUsersTheyOwn) {
   service.Stop();
 }
 
+// Shards answer from their own candidate tables and never pool a cold
+// user's followees, so asking for the fallback is an error rather than a
+// silently ignored option.
+TEST_F(ShardedServiceTest, TrainRejectsColdStartFallback) {
+  ServingSimGraphOptions simgraph_options;
+  simgraph_options.cold_start_fallback = true;
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  ShardedService service(simgraph_options, options);
+  const Status status = service.Train(dataset_, protocol_.train_end);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ShardedServiceTest, StopIsIdempotentAndRejectsFurtherPublishes) {
   ShardedServiceOptions options;
   options.num_shards = 2;

@@ -2,10 +2,11 @@
 // (tools/metrics_diff.cc, tools/timeseries_diff.cc).
 //
 // Minimal recursive-descent JSON reader, sufficient for the snapshots we
-// produce ourselves: objects, arrays, numbers, strings, literals. Only
-// numeric leaves are kept, flattened to dotted paths (array elements
-// index as .0, .1, ...), e.g. histograms.serve.request.seconds.p99 or
-// legs.clean.summary.p99_us.max.
+// produce ourselves: objects, arrays, numbers, strings, literals. Numeric
+// leaves are kept, flattened to dotted paths (array elements index as
+// .0, .1, ...), e.g. histograms.serve.request.seconds.p99 or
+// legs.clean.summary.p99_us.max; string leaves are kept the same way
+// only when the caller asks for them.
 //
 // Header-only and dependency-free on purpose: the diff tools are
 // standalone gate binaries that must not pull in the simgraph libraries.
@@ -26,8 +27,10 @@ class FlattenParser {
  public:
   explicit FlattenParser(std::string text) : text_(std::move(text)) {}
 
-  bool Parse(std::map<std::string, double>* out) {
+  bool Parse(std::map<std::string, double>* out,
+             std::map<std::string, std::string>* strings = nullptr) {
     out_ = out;
+    strings_ = strings;
     SkipSpace();
     if (!ParseValue("")) return false;
     SkipSpace();
@@ -54,8 +57,10 @@ class FlattenParser {
     if (c == '{') return ParseObject(path);
     if (c == '[') return ParseArray(path);
     if (c == '"') {
-      std::string ignored;
-      return ParseString(&ignored);
+      std::string text;
+      if (!ParseString(&text)) return false;
+      if (strings_ != nullptr) (*strings_)[path] = std::move(text);
+      return true;
     }
     if (c == 't') return ConsumeWord("true");
     if (c == 'f') return ConsumeWord("false");
@@ -152,6 +157,7 @@ class FlattenParser {
   std::string text_;
   size_t pos_ = 0;
   std::map<std::string, double>* out_ = nullptr;
+  std::map<std::string, std::string>* strings_ = nullptr;
 };
 
 inline bool ReadFile(const std::string& path, std::string* out) {
@@ -163,18 +169,21 @@ inline bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Reads `path` and flattens its numeric leaves into `out`. Returns
-/// false (with a one-line diagnostic on stderr, prefixed with `tool`)
-/// when the file is unreadable or not valid JSON.
+/// Reads `path` and flattens its numeric leaves into `out` (and, when
+/// `strings` is set, its string leaves into `strings`). Returns false
+/// (with a one-line diagnostic on stderr, prefixed with `tool`) when the
+/// file is unreadable or not valid JSON.
 inline bool LoadFlattened(const char* tool, const std::string& path,
-                          std::map<std::string, double>* out) {
+                          std::map<std::string, double>* out,
+                          std::map<std::string, std::string>* strings =
+                              nullptr) {
   std::string text;
   if (!ReadFile(path, &text)) {
     std::fprintf(stderr, "%s: cannot read %s\n", tool, path.c_str());
     return false;
   }
   FlattenParser parser(std::move(text));
-  if (!parser.Parse(out)) {
+  if (!parser.Parse(out, strings)) {
     std::fprintf(stderr, "%s: %s is not valid JSON\n", tool, path.c_str());
     return false;
   }

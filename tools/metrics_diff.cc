@@ -23,7 +23,10 @@
 // `--allow-new-keys` waives candidate-only keys (a candidate from a
 // newer build that grew metrics the baseline predates).
 //
-// Direction is inferred from the metric name:
+// A leaf whose enclosing object carries "better": "lower" or "higher"
+// (as BENCH_perfbench.json's {"value": ..., "better": ...} metrics do)
+// takes that direction, as declared in the baseline. Otherwise the
+// direction is inferred from the metric name:
 //   * lower is better:  latency/duration quantiles and sums
 //     (.p50/.p95/.p99/.max/.mean, *seconds*, *latency*, *_us)
 //   * higher is better: *per_s, *throughput*, *hit_rate*, *qps*
@@ -62,7 +65,15 @@ bool EndsWith(const std::string& name, const char* suffix) {
          name.compare(name.size() - len, len, suffix) == 0;
 }
 
-Direction DirectionOf(const std::string& name) {
+Direction DirectionOf(const std::string& name,
+                      const std::map<std::string, std::string>& strings) {
+  const size_t dot = name.rfind('.');
+  const auto declared = strings.find(
+      dot == std::string::npos ? "better" : name.substr(0, dot) + ".better");
+  if (declared != strings.end()) {
+    if (declared->second == "lower") return Direction::kLowerIsBetter;
+    if (declared->second == "higher") return Direction::kHigherIsBetter;
+  }
   if (ContainsAny(name, {"per_s", "throughput", "hit_rate", "qps"})) {
     return Direction::kHigherIsBetter;
   }
@@ -149,7 +160,9 @@ int main(int argc, char** argv) {
 
   std::map<std::string, double> baseline;
   std::map<std::string, double> candidate;
-  if (!jsonflat::LoadFlattened("metrics_diff", paths[0], &baseline) ||
+  std::map<std::string, std::string> baseline_strings;
+  if (!jsonflat::LoadFlattened("metrics_diff", paths[0], &baseline,
+                               &baseline_strings) ||
       !jsonflat::LoadFlattened("metrics_diff", paths[1], &candidate)) {
     return 2;
   }
@@ -184,7 +197,7 @@ int main(int argc, char** argv) {
     if (it == candidate.end()) continue;
     const double cand = it->second;
     ++compared;
-    const Direction direction = DirectionOf(name);
+    const Direction direction = DirectionOf(name, baseline_strings);
     if (direction == Direction::kNeutral) continue;
     if (base == 0.0) {
       // No meaningful relative change from zero; a candidate that is
