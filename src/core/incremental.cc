@@ -112,7 +112,6 @@ Status IncrementalSimGraph::Initialize(const Dataset& dataset,
     }
   }
   stats_ = IncrementalStats{};
-  ++version_;
   return Status::Ok();
 }
 
@@ -141,13 +140,7 @@ void IncrementalSimGraph::RescoreEdge(UserId u, UserId v) {
       reverse_[static_cast<size_t>(v)].insert(u);
       ++num_edges_;
       ++stats_.edges_inserted;
-      if (record_ != nullptr) {
-        record_->edge_upserts.push_back({u, v, sim});
-      }
     } else {
-      if (record_ != nullptr && it->second != sim) {
-        record_->edge_upserts.push_back({u, v, sim});
-      }
       it->second = sim;
       ++stats_.edges_updated;
     }
@@ -156,16 +149,12 @@ void IncrementalSimGraph::RescoreEdge(UserId u, UserId v) {
     reverse_[static_cast<size_t>(v)].erase(u);
     --num_edges_;
     ++stats_.edges_dropped;
-    if (record_ != nullptr) record_->edge_removes.push_back({u, v});
   }
 }
 
-void IncrementalSimGraph::Apply(const RetweetEvent& event,
-                                SimGraphDelta* delta) {
+void IncrementalSimGraph::Apply(const RetweetEvent& event) {
   SIMGRAPH_CHECK(profiles_ != nullptr) << "Initialize must be called first";
-  record_ = delta;
   ++stats_.events_applied;
-  ++version_;
   // Snapshot co-retweeters before adding the event (the new user is not
   // their own peer).
   const std::vector<UserId> peers = profiles_->Retweeters(event.tweet);
@@ -190,8 +179,6 @@ void IncrementalSimGraph::Apply(const RetweetEvent& event,
       reverse_[static_cast<size_t>(u)].begin(),
       reverse_[static_cast<size_t>(u)].end());
   for (UserId v : in_sources) RescoreEdge(v, u);
-  if (record_ != nullptr) record_->graph_version = version_;
-  record_ = nullptr;
 }
 
 SimGraph IncrementalSimGraph::Snapshot() const {

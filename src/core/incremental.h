@@ -8,10 +8,11 @@
 #include <vector>
 
 #include "core/simgraph.h"
-#include "core/simgraph_delta.h"
 #include "dataset/dataset.h"
 
 namespace simgraph {
+
+struct SimGraphDelta;
 
 /// Mutable retweet profiles: the streaming counterpart of ProfileStore.
 /// Supports appending events one at a time while serving the same
@@ -96,25 +97,18 @@ class IncrementalSimGraph {
 
   /// Applies one retweet event (must follow the initialisation prefix in
   /// time; duplicates are ignored).
-  void Apply(const RetweetEvent& event) { Apply(event, nullptr); }
+  void Apply(const RetweetEvent& event);
 
-  /// Like Apply, additionally appending every resulting edge upsert/drop
-  /// to `delta` (in rescoring order; an edge rescored twice appears
-  /// twice — ordered replay is last-wins). Unchanged weights are not
-  /// recorded. This is the extraction hook of the delta-shipping ingest
-  /// pipeline (docs/ingest.md): replaying the recorded ops against a
-  /// replica of the pre-event adjacency reproduces this graph exactly.
-  /// `delta` may be null; other delta fields are left untouched.
-  void Apply(const RetweetEvent& event, SimGraphDelta* delta);
+  /// Apply(event); `delta` is ignored, since SGDL ships no edge ops.
+  /// Kept only because the benchmark harness under perfbench/ still
+  /// calls this signature.
+  void Apply(const RetweetEvent& event, SimGraphDelta* delta) {
+    (void)delta;
+    Apply(event);
+  }
 
   /// Materialises the current graph (CSR) for propagation / inspection.
   SimGraph Snapshot() const;
-
-  /// Monotonic mutation counter: bumped by Initialize and by every Apply
-  /// that could have changed the graph. The serving layer (src/serve/)
-  /// uses it to decide when a published CSR snapshot is out of date and
-  /// must be re-materialised (epoch swap).
-  uint64_t version() const { return version_; }
 
   int64_t num_edges() const { return num_edges_; }
   const IncrementalStats& stats() const { return stats_; }
@@ -125,8 +119,7 @@ class IncrementalSimGraph {
   bool WithinHops(UserId u, UserId w) const;
 
   /// Recomputes sim(u, v) and upserts/drops the edge u->v (only; callers
-  /// handle the reverse direction). Records the op into `record_` when a
-  /// delta is being extracted.
+  /// handle the reverse direction).
   void RescoreEdge(UserId u, UserId v);
 
   const Digraph* follow_graph_;
@@ -137,11 +130,7 @@ class IncrementalSimGraph {
   /// reverse_[v] = sources of edges into v (kept in sync with adjacency_).
   std::vector<std::unordered_set<UserId>> reverse_;
   int64_t num_edges_ = 0;
-  uint64_t version_ = 0;
   IncrementalStats stats_;
-  /// Destination of edge ops while Apply(event, delta) runs; null
-  /// outside delta extraction.
-  SimGraphDelta* record_ = nullptr;
 };
 
 }  // namespace simgraph

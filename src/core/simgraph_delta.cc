@@ -46,12 +46,10 @@ class Reader {
 };
 
 constexpr uint64_t kHeaderBytes = 4 + 2 + 2 +  // magic, version, flags
-                                  8 * 4 +      // seqs, version, epoch
+                                  8 * 4 +      // seqs, edges, epoch
                                   8;           // evict_before
-constexpr uint64_t kEdgeUpsertBytes = 4 + 4 + 8;
-constexpr uint64_t kEdgeRemoveBytes = 4 + 4;
-constexpr uint64_t kDepositBytes = 4 + 8 + 8;
-constexpr uint64_t kConsumeBytes = 4 + 8;
+constexpr uint64_t kDepositBytes = 4 + 4 + 8;
+constexpr uint64_t kConsumeBytes = 4 + 4;
 constexpr uint64_t kInvalidatedBytes = 4;
 
 Status Corrupt(const char* what) {
@@ -64,23 +62,18 @@ Status Corrupt(const char* what) {
 void SimGraphDelta::Clear() {
   seq_begin = 0;
   seq_end = 0;
-  graph_version = 0;
+  graph_edges = 0;
   snapshot_epoch = 0;
   flags = 0;
   evict_before = 0;
-  edge_upserts.clear();
-  edge_removes.clear();
   deposits.clear();
   consumed.clear();
   invalidated.clear();
-  snapshot.reset();
 }
 
 int64_t SimGraphDelta::ByteSize() const {
   return static_cast<int64_t>(
-      kHeaderBytes + 5 * 8 +  // five section counts
-      edge_upserts.size() * kEdgeUpsertBytes +
-      edge_removes.size() * kEdgeRemoveBytes +
+      kHeaderBytes + 3 * 8 +  // three section counts
       deposits.size() * kDepositBytes + consumed.size() * kConsumeBytes +
       invalidated.size() * kInvalidatedBytes);
 }
@@ -92,31 +85,20 @@ void SimGraphDelta::SerializeTo(std::string* out) const {
   AppendRaw<uint16_t>(out, flags);
   AppendRaw<uint64_t>(out, seq_begin);
   AppendRaw<uint64_t>(out, seq_end);
-  AppendRaw<uint64_t>(out, graph_version);
+  AppendRaw<int64_t>(out, graph_edges);
   AppendRaw<uint64_t>(out, snapshot_epoch);
   AppendRaw<int64_t>(out, evict_before);
 
-  AppendRaw<uint64_t>(out, edge_upserts.size());
-  for (const EdgeUpsert& op : edge_upserts) {
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.src));
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.dst));
-    AppendRaw<double>(out, op.weight);
-  }
-  AppendRaw<uint64_t>(out, edge_removes.size());
-  for (const EdgeRemove& op : edge_removes) {
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.src));
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.dst));
-  }
   AppendRaw<uint64_t>(out, deposits.size());
   for (const Deposit& op : deposits) {
     AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.user));
-    AppendRaw<int64_t>(out, op.tweet);
+    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.tweet));
     AppendRaw<double>(out, op.score);
   }
   AppendRaw<uint64_t>(out, consumed.size());
   for (const Consume& op : consumed) {
     AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.user));
-    AppendRaw<int64_t>(out, op.tweet);
+    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.tweet));
   }
   AppendRaw<uint64_t>(out, invalidated.size());
   for (const UserId user : invalidated) {
@@ -139,50 +121,26 @@ Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
     return Corrupt("unknown flag bits");
   }
   if (!reader.Read(&out->seq_begin) || !reader.Read(&out->seq_end) ||
-      !reader.Read(&out->graph_version) ||
+      !reader.Read(&out->graph_edges) ||
       !reader.Read(&out->snapshot_epoch) || !reader.Read(&out->evict_before)) {
     return Corrupt("truncated header");
   }
   if (out->seq_end < out->seq_begin) return Corrupt("inverted seq range");
 
   uint64_t count = 0;
-  if (!reader.ReadCount(kEdgeUpsertBytes, &count)) {
-    return Corrupt("bad edge_upserts count");
-  }
-  out->edge_upserts.resize(count);
-  for (EdgeUpsert& op : out->edge_upserts) {
-    uint32_t src = 0;
-    uint32_t dst = 0;
-    if (!reader.Read(&src) || !reader.Read(&dst) || !reader.Read(&op.weight)) {
-      return Corrupt("truncated edge_upserts");
-    }
-    op.src = static_cast<UserId>(src);
-    op.dst = static_cast<UserId>(dst);
-  }
-  if (!reader.ReadCount(kEdgeRemoveBytes, &count)) {
-    return Corrupt("bad edge_removes count");
-  }
-  out->edge_removes.resize(count);
-  for (EdgeRemove& op : out->edge_removes) {
-    uint32_t src = 0;
-    uint32_t dst = 0;
-    if (!reader.Read(&src) || !reader.Read(&dst)) {
-      return Corrupt("truncated edge_removes");
-    }
-    op.src = static_cast<UserId>(src);
-    op.dst = static_cast<UserId>(dst);
-  }
   if (!reader.ReadCount(kDepositBytes, &count)) {
     return Corrupt("bad deposits count");
   }
   out->deposits.resize(count);
   for (Deposit& op : out->deposits) {
     uint32_t user = 0;
-    if (!reader.Read(&user) || !reader.Read(&op.tweet) ||
+    uint32_t tweet = 0;
+    if (!reader.Read(&user) || !reader.Read(&tweet) ||
         !reader.Read(&op.score)) {
       return Corrupt("truncated deposits");
     }
     op.user = static_cast<UserId>(user);
+    op.tweet = static_cast<TweetId>(tweet);
   }
   if (!reader.ReadCount(kConsumeBytes, &count)) {
     return Corrupt("bad consumed count");
@@ -190,10 +148,12 @@ Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
   out->consumed.resize(count);
   for (Consume& op : out->consumed) {
     uint32_t user = 0;
-    if (!reader.Read(&user) || !reader.Read(&op.tweet)) {
+    uint32_t tweet = 0;
+    if (!reader.Read(&user) || !reader.Read(&tweet)) {
       return Corrupt("truncated consumed");
     }
     op.user = static_cast<UserId>(user);
+    op.tweet = static_cast<TweetId>(tweet);
   }
   if (!reader.ReadCount(kInvalidatedBytes, &count)) {
     return Corrupt("bad invalidated count");

@@ -17,14 +17,10 @@ namespace simgraph {
 /// pipeline sends from the single DeltaBuilder to the shards' and
 /// remote replicas' DeltaAppliers (docs/ingest.md). One delta covers
 /// the contiguous event range [seq_begin, seq_end] and carries, in
-/// application order, everything a replica needs to advance without
+/// application order, exactly what a replica reads to advance without
 /// re-running the incremental SimGraph update itself (in-process shards
 /// receive per-shard parts holding only the users they own):
 ///
-///   * edge upserts/removes of the incremental similarity graph (the
-///     builder records them as IncrementalSimGraph rescoring runs; SGDL
-///     still carries them, but no applier replays them and per-shard
-///     parts drop them);
 ///   * consumed marks (user interacted with tweet — never recommend it
 ///     to them again);
 ///   * candidate deposits (propagated scores that actually raised a
@@ -32,37 +28,26 @@ namespace simgraph {
 ///   * the invalidated-user list (exactly the users whose cached answers
 ///     the covered events may have changed);
 ///   * an optional eviction watermark and an optional snapshot-refresh
-///     marker (epoch swap).
+///     marker (epoch swap) with the refreshed graph's edge count.
 ///
-/// Ops may contain duplicates (an edge rescored by several events in one
-/// batch appears once per rescore); replay is strictly in order, so the
-/// last op wins and replicas stay bit-identical to the builder's state.
+/// Replay is strictly in order, so replicas stay bit-identical to the
+/// builder's state. The similarity-graph edges themselves never ship:
+/// appliers only replay the candidate ops the builder's propagation
+/// produced.
 ///
-/// The binary layout is versioned (kMagic/kVersion, little-endian) so a
-/// future multi-process deployment can ship the same bytes over RPC; see
-/// docs/ingest.md for the field-by-field layout. `snapshot` is an
-/// in-process shortcut and is never serialized.
+/// The binary layout is versioned (kMagic/kVersion, little-endian) so
+/// the same bytes ship to remote replicas over SGRP; see docs/ingest.md
+/// for the field-by-field layout.
 struct SimGraphDelta {
   /// First four serialized bytes, "SGDL" read as a little-endian u32.
   static constexpr uint32_t kMagic = 0x4C444753u;
   /// Current layout version; Parse rejects anything else.
-  static constexpr uint16_t kVersion = 1;
+  static constexpr uint16_t kVersion = 2;
   /// Flag bit: the builder re-materialised its CSR snapshot while
   /// building this delta; appliers must swap epochs after replaying the
   /// candidate ops.
   static constexpr uint16_t kFlagSnapshotRefresh = 1u << 0;
 
-  /// One rescored similarity edge src->dst now weighing `weight`.
-  struct EdgeUpsert {
-    UserId src = 0;
-    UserId dst = 0;
-    double weight = 0.0;
-  };
-  /// Edge src->dst fell below tau and was dropped.
-  struct EdgeRemove {
-    UserId src = 0;
-    UserId dst = 0;
-  };
   /// Candidate score of `tweet` for `user` raised to `score` (max-merge;
   /// only deposits that changed the stored score are shipped).
   struct Deposit {
@@ -81,8 +66,9 @@ struct SimGraphDelta {
   /// (1-based). seq_end - seq_begin + 1 events were folded in.
   uint64_t seq_begin = 0;
   uint64_t seq_end = 0;
-  /// IncrementalSimGraph::version() after the covered events.
-  uint64_t graph_version = 0;
+  /// Edge count of the refreshed snapshot when kFlagSnapshotRefresh is
+  /// set (0 otherwise); appliers report it as their graph stats.
+  int64_t graph_edges = 0;
   /// Snapshot epoch appliers must publish when kFlagSnapshotRefresh is
   /// set (unchanged otherwise).
   uint64_t snapshot_epoch = 0;
@@ -92,20 +78,17 @@ struct SimGraphDelta {
   /// replaying the ops (bounds replica memory; never changes answers).
   Timestamp evict_before = 0;
 
-  std::vector<EdgeUpsert> edge_upserts;
-  std::vector<EdgeRemove> edge_removes;
+  /// Tweet ids travel as u32 on the wire (every candidate store keys
+  /// tweets by uint32); ValidateIds bounds them on the replica.
   std::vector<Deposit> deposits;
   std::vector<Consume> consumed;
   /// Sorted, deduplicated users whose cached recommendations the covered
   /// events may have changed (drives precise cache invalidation).
   std::vector<UserId> invalidated;
 
-  /// In-process fast path: when kFlagSnapshotRefresh is set the builder
-  /// attaches its freshly materialised CSR snapshot, so local appliers
-  /// swap a shared pointer instead of re-materialising. NOT serialized —
-  /// a remote replica keeps the snapshot it was seeded with and only
-  /// advances its reported epoch (DeltaApplierRecommender::ApplyDelta);
-  /// no applier reads the edge ops.
+  /// Never set, read or serialized by this library. It is kept declared
+  /// only because the benchmark harness under perfbench/ assigns it when
+  /// it copies sample deltas; graph stats travel in `graph_edges`.
   std::shared_ptr<const SimGraph> snapshot;
 
   bool has_flag(uint16_t flag) const { return (flags & flag) != 0; }
@@ -113,10 +96,9 @@ struct SimGraphDelta {
     return seq_begin == 0 ? 0
                           : static_cast<int64_t>(seq_end - seq_begin) + 1;
   }
-  /// Total graph-edge ops (upserts + removes).
-  int64_t num_edge_ops() const {
-    return static_cast<int64_t>(edge_upserts.size() + edge_removes.size());
-  }
+  /// Always 0: SGDL v2 ships no similarity-graph edge ops. Kept for the
+  /// benchmark harness, which reports it per event.
+  int64_t num_edge_ops() const { return 0; }
 
   /// Resets to an empty delta, keeping vector capacity (the builder
   /// reuses one scratch delta per batch).
@@ -130,15 +112,15 @@ struct SimGraphDelta {
 
   /// Parses a buffer produced by SerializeTo. Rejects wrong magic,
   /// unknown version or flags, truncated sections, and trailing bytes.
-  /// `out` is cleared first; `snapshot` is always null after parsing.
+  /// `out` is cleared first. Tweet ids are widened from their u32
+  /// encoding.
   static Status Parse(std::string_view bytes, SimGraphDelta* out);
 
   /// Checks every id an applier indexes by — deposit and consumed users
   /// and tweets, invalidated users — against a population of `num_users`
   /// and a catalogue of `num_tweets`. Parse vets only the framing; a
   /// replica runs this on each delta read off the wire, because an id
-  /// out of range would index its per-user state out of bounds. Edge
-  /// ops are not checked: no applier reads them.
+  /// out of range would index its per-user state out of bounds.
   Status ValidateIds(int32_t num_users, int64_t num_tweets) const;
 };
 

@@ -22,19 +22,11 @@ Status DeltaApplierRecommender::Train(const Dataset& dataset,
   return state_.Init(dataset, train_end, options_.freshness_window);
 }
 
-void DeltaApplierRecommender::SeedSnapshot(
-    std::shared_ptr<const SimGraph> snapshot, uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(snapshot);
-  graph_epoch_ = epoch;
-}
-
 void DeltaApplierRecommender::SeedRemoteGraphStats(uint64_t epoch,
                                                    int64_t edges) {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  remote_stats_ = true;
-  remote_edges_ = edges;
+  std::lock_guard<std::mutex> lock(stats_mu_);
   graph_epoch_ = epoch;
+  graph_edges_ = edges;
 }
 
 AffectedUsers DeltaApplierRecommender::ObserveAffected(
@@ -65,13 +57,12 @@ AffectedUsers DeltaApplierRecommender::ApplyDelta(const SimGraphDelta& delta) {
   state_.ReplayDeltaOps(delta);
   if (delta.evict_before > 0) state_.EvictStale(delta.evict_before);
   if (delta.has_flag(SimGraphDelta::kFlagSnapshotRefresh)) {
-    // In-process shards receive the new snapshot object alongside the
-    // flag; a remote replica gets the flag only (SGDL never serializes
-    // the pointer) and still must advance its reported epoch so epoch
-    // swaps stay observable across the wire (docs/replication.md).
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    if (delta.snapshot != nullptr) snapshot_ = delta.snapshot;
+    // The refresh's epoch and edge count travel in the delta itself, so
+    // in-process shards and remote replicas report the same stats
+    // (docs/replication.md).
+    std::lock_guard<std::mutex> lock(stats_mu_);
     graph_epoch_ = delta.snapshot_epoch;
+    graph_edges_ = delta.graph_edges;
   }
   if (delta.seq_end > applied_delta_seq_) applied_delta_seq_ = delta.seq_end;
 
@@ -103,31 +94,17 @@ RecommendOutcome DeltaApplierRecommender::RecommendUntil(
   return state_.ScanTopK(user, now, k, deadline);
 }
 
-std::shared_ptr<const SimGraph> DeltaApplierRecommender::GraphSnapshot()
-    const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return snapshot_;
-}
-
 uint64_t DeltaApplierRecommender::graph_epoch() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  std::lock_guard<std::mutex> lock(stats_mu_);
   return graph_epoch_;
 }
 
 bool DeltaApplierRecommender::GraphStats(uint64_t* epoch,
                                          int64_t* edges) const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (snapshot_ != nullptr) {
-    *epoch = graph_epoch_;
-    *edges = snapshot_->graph.num_edges();
-    return true;
-  }
-  if (remote_stats_) {
-    *epoch = graph_epoch_;
-    *edges = remote_edges_;
-    return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  *epoch = graph_epoch_;
+  *edges = graph_edges_;
+  return true;
 }
 
 }  // namespace serve

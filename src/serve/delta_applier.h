@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/simgraph.h"
 #include "core/simgraph_delta.h"
 #include "serve/candidate_state.h"
 #include "serve/serving_recommender.h"
@@ -35,9 +34,8 @@ struct DeltaApplierOptions {
 /// op stream it recorded — candidate deposits, consumed marks, an
 /// occasional eviction watermark, and snapshot epoch swaps — so its
 /// per-event cost is O(ops shipped), not O(incremental update +
-/// propagation). It never reads the delta's edge ops: graph stats come
-/// from the shipped snapshot pointer or, on a remote replica, from the
-/// replication handshake.
+/// propagation). It holds no similarity graph: its graph stats are two
+/// integers, seeded once and advanced by every refresh delta.
 ///
 /// Replica determinism: Train builds the same CandidateState every
 /// replica starts from (training retweets consumed, empty candidates),
@@ -60,15 +58,11 @@ class DeltaApplierRecommender final : public ServingRecommender {
   /// is built here; that is the whole point of the pipeline.
   Status Train(const Dataset& dataset, int64_t train_end) override;
 
-  /// Installs the builder's post-train CSR snapshot so Stats report
-  /// graph epoch/edges. Call after Train, before serving.
-  void SeedSnapshot(std::shared_ptr<const SimGraph> snapshot,
-                    uint64_t epoch);
-
-  /// Remote replicas (docs/replication.md) never hold the builder's
-  /// snapshot object: seed the stats the handshake reported instead.
-  /// Refresh deltas then carry graph_epoch_ forward on their own; the
-  /// edge count stays the handshake's last-known value.
+  /// Seeds the graph stats GraphStats reports with the builder's
+  /// post-train epoch and edge count: ShardedService passes its source's,
+  /// a remote replica (docs/replication.md) the replication handshake's.
+  /// Call after Train, before serving; every refresh delta then carries
+  /// both forward.
   void SeedRemoteGraphStats(uint64_t epoch, int64_t edges);
 
   AffectedUsers ObserveAffected(const RetweetEvent& event) override;
@@ -82,8 +76,6 @@ class DeltaApplierRecommender final : public ServingRecommender {
   bool concurrent_reads() const override { return true; }
   bool GraphStats(uint64_t* epoch, int64_t* edges) const override;
 
-  /// The snapshot this shard currently reports (last epoch swap).
-  std::shared_ptr<const SimGraph> GraphSnapshot() const;
   uint64_t graph_epoch() const;
   /// Sequence number of the last applied delta's seq_end (0 initially).
   uint64_t applied_delta_seq() const { return applied_delta_seq_; }
@@ -93,15 +85,11 @@ class DeltaApplierRecommender final : public ServingRecommender {
   CandidateState state_;
   uint64_t applied_delta_seq_ = 0;  // applier-thread only
 
-  /// Guards snapshot_ / epoch_ publication (swapped on refresh deltas,
-  /// read by Stats from any thread).
-  mutable std::mutex snapshot_mu_;
-  std::shared_ptr<const SimGraph> snapshot_;
+  /// Guards the graph stats (advanced by refresh deltas, read by Stats
+  /// from any thread).
+  mutable std::mutex stats_mu_;
   uint64_t graph_epoch_ = 0;
-  /// Remote-seeded stats (SeedRemoteGraphStats): GraphStats falls back
-  /// to these when no snapshot object is held.
-  bool remote_stats_ = false;
-  int64_t remote_edges_ = 0;
+  int64_t graph_edges_ = 0;
 
   // Shard-qualified delta-apply histogram, cached by BindShard; null
   // outside sharded deployments.

@@ -21,11 +21,10 @@ std::vector<std::shared_ptr<const SimGraphDelta>> SplitDeltaByShard(
   for (SimGraphDelta& part : parts) {
     part.seq_begin = delta.seq_begin;
     part.seq_end = delta.seq_end;
-    part.graph_version = delta.graph_version;
+    part.graph_edges = delta.graph_edges;
     part.snapshot_epoch = delta.snapshot_epoch;
     part.flags = delta.flags;
     part.evict_before = delta.evict_before;
-    part.snapshot = delta.snapshot;
   }
   auto part_of = [&](UserId user) -> SimGraphDelta& {
     return parts[static_cast<size_t>(router.ShardOf(user))];
@@ -193,8 +192,6 @@ bool DeltaBuilder::BuildAndShip(IngestItem first) {
                               static_cast<double>(scratch_.num_events()));
     SIMGRAPH_HISTOGRAM_RECORD("serve.ingest.delta.bytes",
                               static_cast<double>(scratch_.ByteSize()));
-    SIMGRAPH_HISTOGRAM_RECORD("serve.ingest.delta.edges",
-                              static_cast<double>(scratch_.num_edge_ops()));
     SIMGRAPH_HISTOGRAM_RECORD("serve.ingest.delta.deposits",
                               static_cast<double>(scratch_.deposits.size()));
     SIMGRAPH_GAUGE_SET("serve.ingest.delta.built_seq",

@@ -38,9 +38,8 @@ struct DeltaBuilderOptions {
 /// Splits a finished delta into one sub-delta per shard of `router`.
 /// Sub-delta s holds the consumed marks, deposits and invalidated users
 /// of the users ShardOf maps to s, in recorded order, and copies the
-/// header (seq range, graph_version, snapshot_epoch, flags,
-/// evict_before) and the snapshot pointer. It carries no edge ops: no
-/// applier reads them. With one shard the full delta ships unchanged.
+/// header (seq range, graph_edges, snapshot_epoch, flags,
+/// evict_before). With one shard the full delta ships unchanged.
 /// Ops on different users never interact (CandidateState), so a shard
 /// replaying its sub-delta ends in exactly the state the full delta
 /// leaves for its own users.

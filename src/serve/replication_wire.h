@@ -64,9 +64,8 @@ struct ReplicaHello {
 };
 
 /// HELLO_ACK payload: the builder's position at registration time. The
-/// replica seeds its graph stats (epoch/edges) from here — refresh
-/// deltas carry the epoch forward but a remote replica never holds the
-/// snapshot object itself.
+/// replica seeds its graph stats (the builder's post-train epoch and
+/// edge count) from here; refresh deltas carry both forward.
 struct ReplicaHelloAck {
   uint16_t version = kReplicationVersion;
   bool snapshot_follows = false;

@@ -84,17 +84,17 @@ Status ShardedService::Train(const Dataset& dataset, int64_t train_end) {
   for (const Status& status : statuses) {
     SIMGRAPH_RETURN_IF_ERROR(status);
   }
-  // Appliers never build a graph of their own: hand each the source's
-  // trained snapshot so propagation state starts from the same epoch
-  // the builder will record refreshes against.
+  // Appliers never build a graph of their own: seed every one, local
+  // or remote, with the source's post-train stats; refresh deltas carry
+  // them forward from there.
+  uint64_t epoch = 0;
+  int64_t edges = 0;
+  source_->GraphStats(&epoch, &edges);
   for (DeltaApplierRecommender* applier : appliers_) {
-    applier->SeedSnapshot(source_->GraphSnapshot(), source_->graph_epoch());
+    applier->SeedRemoteGraphStats(epoch, edges);
   }
   if (options_.replication != nullptr) {
-    const std::shared_ptr<const SimGraph> snapshot = source_->GraphSnapshot();
-    options_.replication->SeedGraphStats(
-        source_->graph_epoch(),
-        snapshot != nullptr ? snapshot->graph.num_edges() : 0);
+    options_.replication->SeedGraphStats(epoch, edges);
   }
   return Status::Ok();
 }

@@ -129,7 +129,7 @@ AffectedUsers SimGraphServingRecommender::ObserveRecordingDelta(
   // The similarity graph absorbs every event, known tweet or not: new
   // posts keep shaping user-user similarity even before they are part of
   // the recommendable catalogue. Without refreshes nothing reads it.
-  if (incremental_ != nullptr) incremental_->Apply(event, delta);
+  if (incremental_ != nullptr) incremental_->Apply(event);
   ++observed_;
   if (options_.snapshot_refresh_events > 0 &&
       observed_ % options_.snapshot_refresh_events == 0) {
@@ -137,8 +137,7 @@ AffectedUsers SimGraphServingRecommender::ObserveRecordingDelta(
     RefreshSnapshot();
     if (delta != nullptr) {
       delta->flags |= SimGraphDelta::kFlagSnapshotRefresh;
-      delta->snapshot_epoch = graph_epoch();
-      delta->snapshot = GraphSnapshot();
+      GraphStats(&delta->snapshot_epoch, &delta->graph_edges);
     }
   }
 

@@ -51,7 +51,7 @@ struct ServingSimGraphOptions {
   /// graph every this many applied events (epoch swap). 0 keeps the
   /// training-time graph forever: the offline evaluation setting, in
   /// which the paper's figures are reproduced. With 0 no incremental
-  /// graph is built or maintained, and deltas carry no edge ops.
+  /// graph is built or maintained.
   int64_t snapshot_refresh_events = 0;
   /// When set, Train takes the follow graph from this pinned mmap'd
   /// SGCS image instead of dataset.follow_graph (which may then be
@@ -97,9 +97,9 @@ class SimGraphServingRecommender : public ServingRecommender {
 
   /// ObserveAffected, additionally recording every side effect of the
   /// event into `delta` (appending to its op vectors; the caller owns
-  /// batching and seq stamping): graph edge ops, consumed marks, changed
-  /// deposits, the eviction watermark, snapshot-refresh epoch swaps, and
-  /// the affected users (appended to delta->invalidated unsorted — the
+  /// batching and seq stamping): consumed marks, changed deposits, the
+  /// eviction watermark, snapshot-refresh epoch swaps with the new edge
+  /// count, and the affected users (appended to delta->invalidated unsorted — the
   /// builder finalises). `delta` may be null.
   AffectedUsers ObserveRecordingDelta(const RetweetEvent& event,
                                       SimGraphDelta* delta);

@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <cstdint>
+#include <random>
 #include <string>
-#include <utility>
-
-#include "core/incremental.h"
-#include "dataset/config.h"
-#include "dataset/generator.h"
 
 namespace simgraph {
 namespace {
@@ -17,12 +13,10 @@ SimGraphDelta MakeSample() {
   SimGraphDelta delta;
   delta.seq_begin = 7;
   delta.seq_end = 9;
-  delta.graph_version = 42;
+  delta.graph_edges = 4242;
   delta.snapshot_epoch = 3;
   delta.flags = SimGraphDelta::kFlagSnapshotRefresh;
   delta.evict_before = 123456789;
-  delta.edge_upserts = {{1, 2, 0.25}, {2, 1, 0.125}};
-  delta.edge_removes = {{3, 4}};
   delta.deposits = {{5, 100, 0.5}, {6, 101, 0.75}, {7, 100, 0.0625}};
   delta.consumed = {{5, 100}, {8, 102}};
   delta.invalidated = {1, 2, 5, 6, 7};
@@ -39,20 +33,11 @@ TEST(SimGraphDeltaTest, RoundTripPreservesEveryWireField) {
   ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
   EXPECT_EQ(parsed.seq_begin, delta.seq_begin);
   EXPECT_EQ(parsed.seq_end, delta.seq_end);
-  EXPECT_EQ(parsed.graph_version, delta.graph_version);
+  EXPECT_EQ(parsed.graph_edges, delta.graph_edges);
   EXPECT_EQ(parsed.snapshot_epoch, delta.snapshot_epoch);
   EXPECT_EQ(parsed.flags, delta.flags);
   EXPECT_TRUE(parsed.has_flag(SimGraphDelta::kFlagSnapshotRefresh));
   EXPECT_EQ(parsed.evict_before, delta.evict_before);
-  ASSERT_EQ(parsed.edge_upserts.size(), delta.edge_upserts.size());
-  for (size_t i = 0; i < delta.edge_upserts.size(); ++i) {
-    EXPECT_EQ(parsed.edge_upserts[i].src, delta.edge_upserts[i].src);
-    EXPECT_EQ(parsed.edge_upserts[i].dst, delta.edge_upserts[i].dst);
-    EXPECT_EQ(parsed.edge_upserts[i].weight, delta.edge_upserts[i].weight);
-  }
-  ASSERT_EQ(parsed.edge_removes.size(), delta.edge_removes.size());
-  EXPECT_EQ(parsed.edge_removes[0].src, 3);
-  EXPECT_EQ(parsed.edge_removes[0].dst, 4);
   ASSERT_EQ(parsed.deposits.size(), delta.deposits.size());
   for (size_t i = 0; i < delta.deposits.size(); ++i) {
     EXPECT_EQ(parsed.deposits[i].user, delta.deposits[i].user);
@@ -63,10 +48,26 @@ TEST(SimGraphDeltaTest, RoundTripPreservesEveryWireField) {
   EXPECT_EQ(parsed.consumed[1].user, 8);
   EXPECT_EQ(parsed.consumed[1].tweet, 102);
   EXPECT_EQ(parsed.invalidated, delta.invalidated);
-  // The in-process snapshot shortcut never crosses the wire.
-  EXPECT_EQ(parsed.snapshot, nullptr);
   EXPECT_EQ(parsed.num_events(), 3u);
-  EXPECT_EQ(parsed.num_edge_ops(), 3);
+  EXPECT_EQ(parsed.num_edge_ops(), 0);
+}
+
+TEST(SimGraphDeltaTest, TweetIdsTravelAsU32) {
+  SimGraphDelta delta;
+  delta.seq_begin = 1;
+  delta.seq_end = 1;
+  delta.deposits = {{1, 0xFFFFFFFFll, 0.5}};
+  delta.consumed = {{2, 0xFFFFFFFEll}};
+  std::string wire;
+  delta.SerializeTo(&wire);
+  // Header, three counts, one 16-byte deposit and one 8-byte mark.
+  EXPECT_EQ(wire.size(), static_cast<size_t>(48 + 3 * 8 + 16 + 8));
+
+  SimGraphDelta parsed;
+  ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
+  // Widened, not sign-extended.
+  EXPECT_EQ(parsed.deposits[0].tweet, 0xFFFFFFFFll);
+  EXPECT_EQ(parsed.consumed[0].tweet, 0xFFFFFFFEll);
 }
 
 TEST(SimGraphDeltaTest, EmptyDeltaRoundTrips) {
@@ -78,7 +79,7 @@ TEST(SimGraphDeltaTest, EmptyDeltaRoundTrips) {
   SimGraphDelta parsed;
   ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
   EXPECT_EQ(parsed.num_events(), 1u);
-  EXPECT_TRUE(parsed.edge_upserts.empty());
+  EXPECT_TRUE(parsed.deposits.empty());
   EXPECT_TRUE(parsed.invalidated.empty());
 }
 
@@ -90,12 +91,11 @@ TEST(SimGraphDeltaTest, ClearResetsEverything) {
   EXPECT_EQ(delta.num_events(), 0u);
   EXPECT_EQ(delta.flags, 0u);
   EXPECT_EQ(delta.evict_before, 0);
-  EXPECT_TRUE(delta.edge_upserts.empty());
-  EXPECT_TRUE(delta.edge_removes.empty());
+  EXPECT_EQ(delta.graph_edges, 0);
+  EXPECT_EQ(delta.snapshot_epoch, 0u);
   EXPECT_TRUE(delta.deposits.empty());
   EXPECT_TRUE(delta.consumed.empty());
   EXPECT_TRUE(delta.invalidated.empty());
-  EXPECT_EQ(delta.snapshot, nullptr);
 }
 
 TEST(SimGraphDeltaTest, ParseRejectsCorruptInput) {
@@ -112,6 +112,22 @@ TEST(SimGraphDeltaTest, ParseRejectsCorruptInput) {
   bad = wire;
   bad[4] = static_cast<char>(0x7f);
   EXPECT_FALSE(SimGraphDelta::Parse(bad, &parsed).ok());
+
+  // A version-1 buffer: v1 carried two edge-op sections and 8-byte
+  // tweet ids, so its bytes must never be read as v2. An empty v1 delta
+  // is the 48-byte header followed by five zero section counts.
+  bad = wire;
+  bad[4] = 1;
+  bad[5] = 0;
+  EXPECT_FALSE(SimGraphDelta::Parse(bad, &parsed).ok());
+  std::string v1_empty(48 + 5 * 8, '\0');
+  const uint32_t magic = SimGraphDelta::kMagic;
+  for (int i = 0; i < 4; ++i) {
+    v1_empty[static_cast<size_t>(i)] =
+        static_cast<char>((magic >> (8 * i)) & 0xff);
+  }
+  v1_empty[4] = 1;
+  EXPECT_FALSE(SimGraphDelta::Parse(v1_empty, &parsed).ok());
 
   // Unknown flag bit.
   bad = wire;
@@ -146,6 +162,41 @@ TEST(SimGraphDeltaTest, ParseRejectsCorruptInput) {
   EXPECT_FALSE(SimGraphDelta::Parse(bad, &parsed).ok());
 }
 
+// Hostile input: every single-byte corruption of a valid buffer either
+// fails to parse or parses into a delta that serializes back to exactly
+// the corrupted bytes — Parse never accepts bytes it cannot represent,
+// and never crashes (the asan build runs this).
+TEST(SimGraphDeltaTest, SingleByteMutationsParseExactlyOrFail) {
+  std::string wire;
+  MakeSample().SerializeTo(&wire);
+  std::mt19937 rng(20231);
+  std::uniform_int_distribution<int> delta_dist(1, 255);
+  int64_t accepted = 0;
+  int64_t rejected = 0;
+  for (size_t offset = 0; offset < wire.size(); ++offset) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::string mutated = wire;
+      // A nonzero XOR always changes the byte.
+      mutated[offset] = static_cast<char>(
+          static_cast<uint8_t>(mutated[offset]) ^ delta_dist(rng));
+      SimGraphDelta parsed;
+      if (!SimGraphDelta::Parse(mutated, &parsed).ok()) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      std::string reserialized;
+      parsed.SerializeTo(&reserialized);
+      ASSERT_EQ(reserialized, mutated) << "offset " << offset;
+      EXPECT_EQ(parsed.ByteSize(), static_cast<int64_t>(mutated.size()));
+    }
+  }
+  // Both outcomes occur: payload bytes change values, framing bytes
+  // break the parse.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(SimGraphDeltaTest, ValidateIdsRejectsEveryOutOfRangeId) {
   // MakeSample's largest user is 8 and largest tweet 102.
   EXPECT_TRUE(MakeSample().ValidateIds(9, 103).ok());
@@ -167,72 +218,14 @@ TEST(SimGraphDeltaTest, ValidateIdsRejectsEveryOutOfRangeId) {
   bad = MakeSample();
   bad.invalidated.push_back(9);
   EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
-  // Edge ops are never replayed, so they are not vetted.
+  // A u32 tweet id off the wire can still exceed the catalogue.
   bad = MakeSample();
-  bad.edge_upserts.push_back({100, 200, 0.5});
-  EXPECT_TRUE(bad.ValidateIds(9, 103).ok());
-}
-
-// The recorded edge ops are a faithful oplog of the incremental update:
-// replaying them in order against a replica of the pre-stream adjacency
-// reproduces the post-stream graph exactly, event by event.
-TEST(SimGraphDeltaTest, EdgeOpReplayReproducesIncrementalGraph) {
-  DatasetConfig config = TinyConfig();
-  config.seed = 60807;
-  const Dataset dataset = GenerateDataset(config);
-  const int64_t train_end = dataset.num_retweets() * 8 / 10;
-
-  SimGraphOptions options;
-  IncrementalSimGraph incremental(dataset.follow_graph, options);
-  ASSERT_TRUE(incremental.Initialize(dataset, train_end).ok());
-
-  // Replica of the adjacency, seeded from the training-time snapshot.
-  std::map<std::pair<UserId, UserId>, double> replica;
-  {
-    const SimGraph snapshot = incremental.Snapshot();
-    for (NodeId u = 0; u < snapshot.graph.num_nodes(); ++u) {
-      const auto targets = snapshot.graph.OutNeighbors(u);
-      const auto weights = snapshot.graph.OutWeights(u);
-      for (size_t i = 0; i < targets.size(); ++i) {
-        replica[{u, targets[i]}] = weights[i];
-      }
-    }
-  }
-
-  int64_t recorded_ops = 0;
-  for (int64_t i = train_end; i < dataset.num_retweets(); ++i) {
-    SimGraphDelta delta;
-    incremental.Apply(dataset.retweets[static_cast<size_t>(i)], &delta);
-    EXPECT_EQ(delta.graph_version, incremental.version());
-    // Ordered replay: upserts and removes interleave in recording order
-    // only within their own vectors; RescoreEdge never upserts and
-    // removes the same pair inside one event, so section order is safe.
-    for (const SimGraphDelta::EdgeUpsert& op : delta.edge_upserts) {
-      replica[{op.src, op.dst}] = op.weight;
-    }
-    for (const SimGraphDelta::EdgeRemove& op : delta.edge_removes) {
-      replica.erase({op.src, op.dst});
-    }
-    recorded_ops += delta.num_edge_ops();
-  }
-  ASSERT_GT(recorded_ops, 0);
-
-  const SimGraph final_snapshot = incremental.Snapshot();
-  int64_t final_edges = 0;
-  for (NodeId u = 0; u < final_snapshot.graph.num_nodes(); ++u) {
-    const auto targets = final_snapshot.graph.OutNeighbors(u);
-    const auto weights = final_snapshot.graph.OutWeights(u);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      const auto it = replica.find({u, targets[i]});
-      ASSERT_NE(it, replica.end())
-          << "edge " << u << "->" << targets[i] << " missing from replica";
-      EXPECT_EQ(it->second, weights[i])
-          << "edge " << u << "->" << targets[i];
-      ++final_edges;
-    }
-  }
-  EXPECT_EQ(replica.size(), static_cast<size_t>(final_edges));
-  EXPECT_EQ(final_edges, incremental.num_edges());
+  bad.deposits.push_back({5, 0xFFFFFFFFll, 0.5});
+  std::string wire;
+  bad.SerializeTo(&wire);
+  SimGraphDelta parsed;
+  ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
+  EXPECT_EQ(parsed.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

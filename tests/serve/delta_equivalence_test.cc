@@ -209,14 +209,14 @@ TEST_F(DeltaEquivalenceTest, WireFedReplicaMatchesInProcessShards) {
     replica_ptr->ApplyDelta(parsed);
   };
   // Default options: snapshot_refresh_events = 0, so no epoch swap is
-  // shipped mid-stream — the wire format does not carry the in-process
-  // snapshot pointer, and no applier reads the edge ops it does carry,
-  // so this replica serves from the snapshot seeded below.
+  // shipped mid-stream and the replica keeps the stats seeded below.
   ShardedService service(ServingSimGraphOptions{}, options);
   ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
   ASSERT_TRUE(replica->Train(dataset_, protocol_.train_end).ok());
-  replica->SeedSnapshot(service.builder_recommender()->GraphSnapshot(),
-                        service.builder_recommender()->graph_epoch());
+  uint64_t epoch = 0;
+  int64_t edges = 0;
+  ASSERT_TRUE(service.builder_recommender()->GraphStats(&epoch, &edges));
+  replica->SeedRemoteGraphStats(epoch, edges);
   service.Start();
 
   uint64_t seq = 0;
@@ -224,6 +224,9 @@ TEST_F(DeltaEquivalenceTest, WireFedReplicaMatchesInProcessShards) {
   service.WaitForApplied(seq);
   service.Stop();  // joins the builder: the replica is quiescent now
   EXPECT_EQ(replica->applied_delta_seq(), static_cast<uint64_t>(num_test_));
+  ASSERT_TRUE(replica->GraphStats(&epoch, &edges));
+  EXPECT_EQ(epoch, service.Stats().graph_epoch);
+  EXPECT_EQ(edges, service.Stats().graph_edges);
 
   const Timestamp now = dataset_.retweets.back().time;
   for (const UserId user : sample_) {

@@ -288,8 +288,8 @@ class ReplicationTest : public ::testing::Test {
 // TCP socket — through the fanout's backlog/outbox machinery, the
 // client pump, and PublishItem — answers bit-identically to the
 // in-process shards at every checkpoint, INCLUDING across epoch
-// snapshot swaps (refresh deltas cross the wire without a snapshot
-// pointer and must still advance the replica's epoch).
+// snapshot swaps (refresh deltas carry the new epoch and edge count
+// across the wire, and the replica must report both).
 TEST_F(ReplicationTest, SocketFedReplicaMatchesShardsAcrossEpochSwaps) {
   ReplicationFanout fanout;
   ASSERT_TRUE(fanout.Start().ok());
@@ -324,11 +324,18 @@ TEST_F(ReplicationTest, SocketFedReplicaMatchesShardsAcrossEpochSwaps) {
     ExpectRemoteMatchesService(&service, &remote,
                                TestEvent(published - 1).time);
     // The epoch swap crossed the wire: the remote replica reports the
-    // same epoch as the builder's shards despite never holding a
-    // snapshot object.
-    EXPECT_EQ(remote.applier->graph_epoch(), service.Stats().graph_epoch);
+    // same graph stats as the builder's shards, not the handshake's.
+    const BackendStats stats = service.Stats();
+    uint64_t remote_epoch = 0;
+    int64_t remote_edges = 0;
+    ASSERT_TRUE(remote.applier->GraphStats(&remote_epoch, &remote_edges));
+    EXPECT_EQ(remote_epoch, stats.graph_epoch);
+    EXPECT_EQ(remote_edges, stats.graph_edges);
   }
   EXPECT_GT(remote.applier->graph_epoch(), 1u);  // swaps happened
+  // ...and they changed the edge count, so a stale handshake value
+  // would have shown.
+  EXPECT_NE(service.Stats().graph_edges, remote.bootstrap.graph_edges);
   EXPECT_EQ(fanout.num_degraded(), 0);
 
   remote.Shutdown();

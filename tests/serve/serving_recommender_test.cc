@@ -153,15 +153,18 @@ TEST_F(ServingRecommenderTest, UnknownTweetEventOnlyFeedsTheGraph) {
   options.snapshot_refresh_events = 1000;
   SimGraphServingRecommender serving(options);
   ASSERT_TRUE(serving.Train(dataset_, protocol_.train_end).ok());
-  const uint64_t version_before = serving.incremental().version();
   RetweetEvent unknown;
   unknown.tweet = dataset_.num_tweets() + 5000;  // beyond the catalogue
   unknown.user = 0;
   unknown.time = protocol_.split_time + 1;
+  const int64_t profile_before =
+      serving.incremental().profiles().ProfileSize(unknown.user);
   const AffectedUsers affected = serving.ObserveAffected(unknown);
   EXPECT_FALSE(affected.all);
   EXPECT_TRUE(affected.users.empty());
-  EXPECT_GT(serving.incremental().version(), version_before);
+  // The graph still learned the retweet.
+  EXPECT_EQ(serving.incremental().profiles().ProfileSize(unknown.user),
+            profile_before + 1);
 }
 
 TEST_F(ServingRecommenderTest, ExpiredDeadlineReturnsIncomplete) {
