@@ -444,10 +444,7 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
       std::cerr << connected.ToString() << "\n";
       return 1;
     }
-    serve::DeltaApplierOptions applier_options;
-    applier_options.graph_image = config.graph_image;
-    auto applier =
-        std::make_unique<serve::DeltaApplierRecommender>(applier_options);
+    auto applier = std::make_unique<serve::DeltaApplierRecommender>();
     serve::DeltaApplierRecommender* applier_ptr = applier.get();
     serve::ServiceOptions service_options;
     service_options.cache_ttl = kCacheTtl;

@@ -7,6 +7,12 @@ For every workload in BENCHMARK.json this runs perfbench/run.py
 (--seconds 20) untraced on seeds 1, 2 and 3 and traced once on seed 1,
 then writes the median of each end-to-end metric over the three
 untraced runs and each per-layer metric of the traced run to OUT.json.
+
+The untraced runs go round by round, one seed per round, and each round
+rotates the workload order, so with three workloads each one runs once
+first, once second and once last: a host that drifts over the record
+(warming up, or slowing as it goes) biases no workload's median more
+than another's. The traced runs follow all rounds.
 Every metric is an object {"value", "unit", "better"}; tools/metrics_diff
 takes its direction from "better". BENCH_perfbench.json at the
 repository root is this script's output; CI diffs a fresh run against it.
@@ -116,10 +122,18 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
 
+    names = [w["name"] for w in spec["workloads"]]
+    untraced_runs = {name: [] for name in names}
+    for round_index, seed in enumerate(SEEDS):
+        shift = round_index % len(names)
+        for workload in names[shift:] + names[:shift]:
+            untraced_runs[workload].append(perfbench(workload, seed, 0))
+    traced_runs = {name: perfbench(name, TRACED_SEED, 1) for name in names}
+
     workloads = {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        untraced = [perfbench(workload, seed, 0) for seed in SEEDS]
-        traced = perfbench(workload, TRACED_SEED, 1)
+    for workload in names:
+        untraced = untraced_runs[workload]
+        traced = traced_runs[workload]
         record = {}
         for metric in spec["end_to_end"]:
             name = metric["name"]
@@ -138,7 +152,9 @@ def main():
         json.dump({"bench": "perfbench",
                    "command": "python3 scripts/perfbench_record.py OUT.json",
                    "runs": "--seconds %d; end-to-end: median of seeds %s "
-                           "(--trace 0); per-layer: seed %d (--trace 1)"
+                           "(--trace 0, one round per seed, workload order "
+                           "rotated each round); per-layer: seed %d "
+                           "(--trace 1, after all rounds)"
                            % (SECONDS, ", ".join(map(str, SEEDS)),
                               TRACED_SEED),
                    "workloads": workloads}, f, indent=1)

@@ -5,9 +5,8 @@
 # simgraph_shard_server replicas over localhost, then proves, across
 # real process boundaries:
 #
-#   1. snapshot bootstrap — both replicas fetch the builder's SGCS image
-#      at handshake and the fetched files are byte-identical to the
-#      builder's own;
+#   1. bootstrap — both replicas train from the same dataset flags and
+#      join the builder's replication session;
 #   2. bit-identity — after a truncated event stream is published and
 #      fully acknowledged, every sampled user gets byte-identical
 #      "tweets":[...] answers from the builder and from both replicas;
@@ -20,8 +19,8 @@
 # Usage:
 #   scripts/replication_smoke.sh BUILDER_BIN REPLICA_BIN [OUT_DIR]
 #
-# OUT_DIR (or $SMOKE_OUT) collects logs, metrics JSON, and snapshot
-# images — CI uploads it as a failure artifact. Exit 0 = all checks
+# OUT_DIR (or $SMOKE_OUT) collects logs and metrics JSON — CI uploads
+# it as a failure artifact. Exit 0 = all checks
 # passed.
 set -uo pipefail
 
@@ -85,7 +84,6 @@ tweets_of() {
 mkfifo "$OUT/builder.stdin"
 "$BUILDER_BIN" "${DATA_FLAGS[@]}" --ttl 0 \
   --replication-port 0 \
-  --replication-image "$OUT/builder.sgcs" \
   --replication-max-lag "$MAX_LAG" \
   --replication-stall-ms 60000 \
   --metrics-json "$OUT/builder_metrics.json" \
@@ -100,13 +98,12 @@ repl_port="$(wait_port_line "$OUT/builder.log" "replication on port")" ||
   fail "builder did not open its replication port (builder.log)"
 echo "replication_smoke: builder up (serve $serve_port, replication $repl_port)"
 
-# --- boot two replicas, both bootstrapping from the builder's image ----
+# --- boot two replicas, both training from the dataset ----------------
 declare -A replica_pid replica_port
 for name in shard-a shard-b; do
   mkfifo "$OUT/$name.stdin"
   "$REPLICA_BIN" --connect "$repl_port" --name "$name" "${DATA_FLAGS[@]}" \
     --ttl 0 \
-    --fetch-snapshot "$OUT/$name.sgcs" \
     --metrics-json "$OUT/${name}_metrics.json" \
     < "$OUT/$name.stdin" > "$OUT/$name.log" 2>&1 &
   replica_pid[$name]=$!
@@ -119,10 +116,8 @@ for name in shard-a shard-b; do
     fail "replica $name did not come up ($name.log)"
   grep -q "replica $name joined" "$OUT/$name.log" ||
     fail "replica $name never joined the builder ($name.log)"
-  cmp -s "$OUT/builder.sgcs" "$OUT/$name.sgcs" ||
-    fail "replica $name's fetched snapshot differs from the builder image"
 done
-echo "replication_smoke: snapshot bootstrap OK (both images byte-identical)"
+echo "replication_smoke: both replicas joined"
 
 # --- truncated event stream + bit-identity -----------------------------
 # 120 synthetic events; the builder computes each delta once and ships

@@ -25,7 +25,7 @@
 #   SIMGRAPH_VERIFY_REPLICATION=1 scripts/verify.sh
 #       # additionally run the multi-process replication smoke
 #       # (scripts/replication_smoke.sh: builder + two shard-server
-#       # replicas over localhost — snapshot bootstrap, bit-identity,
+#       # replicas over localhost — dataset bootstrap, bit-identity,
 #       # SIGSTOP lag cutoff) and a remote-shards bench leg gated
 #       # against the committed BENCH_serving.json "remote" section
 #       # (docs/replication.md)

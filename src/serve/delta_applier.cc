@@ -14,11 +14,6 @@ DeltaApplierRecommender::DeltaApplierRecommender(DeltaApplierOptions options)
 
 Status DeltaApplierRecommender::Train(const Dataset& dataset,
                                       int64_t train_end) {
-  if (options_.graph_image != nullptr &&
-      dataset.num_users() != options_.graph_image->num_nodes()) {
-    return Status::InvalidArgument(
-        "dataset population disagrees with the pinned graph image");
-  }
   return state_.Init(dataset, train_end, options_.freshness_window);
 }
 

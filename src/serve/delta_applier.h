@@ -2,14 +2,12 @@
 #define SIMGRAPH_SERVE_DELTA_APPLIER_H_
 
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/simgraph_delta.h"
 #include "serve/candidate_state.h"
 #include "serve/serving_recommender.h"
-#include "store/graph_image.h"
 #include "util/metrics.h"
 
 namespace simgraph {
@@ -20,12 +18,6 @@ namespace serve {
 /// replica's answers diverge from the builder's state.
 struct DeltaApplierOptions {
   Timestamp freshness_window = 72 * kSecondsPerHour;
-  /// When serving image-backed (docs/store.md), every applier shard pins
-  /// the SAME shared mmap'd graph image here — shards never decode it on
-  /// the hot path (deltas carry everything they replay), but pinning
-  /// keeps the map alive for the shard's whole life and lets Train
-  /// cross-check the dataset population against the image.
-  std::shared_ptr<const store::GraphImage> graph_image;
 };
 
 /// The cheap shard-side half of the delta-shipping ingest pipeline

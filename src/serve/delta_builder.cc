@@ -54,7 +54,7 @@ DeltaBuilder::DeltaBuilder(SimGraphServingRecommender* source,
       shards_(std::move(shards)),
       router_(router),
       options_(options),
-      queue_(options.queue_capacity) {
+      queue_(kIngestQueueCapacity) {
   SIMGRAPH_CHECK(source_ != nullptr);
   SIMGRAPH_CHECK(!shards_.empty());
   SIMGRAPH_CHECK_EQ(static_cast<size_t>(router_.num_shards()),

@@ -19,10 +19,6 @@ namespace simgraph {
 namespace serve {
 
 struct DeltaBuilderOptions {
-  /// Capacity of the global ingestion queue; Publish blocks when full
-  /// (backpressure propagates to publishers, exactly as on an unsharded
-  /// service).
-  int64_t queue_capacity = 4096;
   /// Upper bound of events folded into one delta. After popping the
   /// first event the builder opportunistically drains up to this many
   /// queued events into the same delta, so a backlog amortises the

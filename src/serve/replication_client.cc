@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <fstream>
 #include <memory>
 #include <utility>
 
@@ -32,7 +31,6 @@ Status ReplicationClient::Connect(uint64_t applied_seq,
   net::SetRecvTimeout(fd_, options_.handshake_timeout_ms);
 
   ReplicaHello hello;
-  hello.want_snapshot = options_.want_snapshot;
   hello.applied_seq = applied_seq;
   hello.name = options_.name;
   std::string payload;
@@ -51,30 +49,6 @@ Status ReplicationClient::Connect(uint64_t applied_seq,
       status = Status::InvalidArgument("expected HELLO_ACK");
     } else {
       status = ReplicaHelloAck::Parse(payload, &ack);
-    }
-  }
-  if (status.ok() && options_.want_snapshot && !ack.snapshot_follows) {
-    status = Status::FailedPrecondition(
-        "builder offers no snapshot bootstrap (started without a "
-        "replication image)");
-  }
-  if (status.ok() && ack.snapshot_follows) {
-    status = ReadReplicationFrame(fd_, &type, &payload);
-    if (status.ok() && type != ReplicationFrameType::kSnapshot) {
-      status = Status::InvalidArgument("expected SNAPSHOT");
-    }
-    if (status.ok()) {
-      std::ofstream out(options_.snapshot_save_path, std::ios::binary);
-      out.write(payload.data(),
-                static_cast<std::streamsize>(payload.size()));
-      if (!out.good()) {
-        status = Status::IoError("cannot write fetched snapshot to " +
-                                 options_.snapshot_save_path);
-      }
-    }
-    if (status.ok() && bootstrap != nullptr) {
-      bootstrap->snapshot_received = true;
-      bootstrap->snapshot_bytes = static_cast<int64_t>(payload.size());
     }
   }
   if (!status.ok()) {

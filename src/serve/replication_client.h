@@ -20,19 +20,13 @@ struct ReplicationClientOptions {
   uint16_t port = 0;
   /// Replica name carried in HELLO (logs and metrics on the builder).
   std::string name = "replica";
-  /// Request the builder's SGCS bootstrap image at handshake; the bytes
-  /// are written to snapshot_save_path so store::GraphImage::Load can
-  /// validate and mmap them like any local image.
-  bool want_snapshot = false;
-  std::string snapshot_save_path;
   /// ECONNREFUSED retry budget (a builder mid-startup).
   int64_t connect_timeout_ms = 10000;
-  /// Receive deadline covering the handshake reads (HELLO_ACK and the
-  /// optional SNAPSHOT): a peer that accepts the connection but never
-  /// answers fails Connect instead of blocking the replica forever —
-  /// mirroring the fanout's handshake_timeout_ms. Cleared before the
-  /// pump threads take over (deltas may legitimately pause for long).
-  /// 0 disables.
+  /// Receive deadline covering the handshake read (HELLO_ACK): a peer
+  /// that accepts the connection but never answers fails Connect
+  /// instead of blocking the replica forever — mirroring the fanout's
+  /// handshake_timeout_ms. Cleared before the pump threads take over
+  /// (deltas may legitimately pause for long). 0 disables.
   int64_t handshake_timeout_ms = 30000;
 };
 
@@ -42,15 +36,13 @@ struct ReplicationBootstrap {
   uint64_t built_seq = 0;
   uint64_t graph_epoch = 0;
   int64_t graph_edges = 0;
-  bool snapshot_received = false;
-  int64_t snapshot_bytes = 0;
 };
 
 /// Replica-side SGRP session (docs/replication.md). Two-phase on
-/// purpose: Connect performs the handshake — including the optional
-/// snapshot bootstrap, whose image the caller needs BEFORE it can build
-/// and train its DeltaApplierRecommender — and only then does Start
-/// attach the live RecommendationService and begin pumping deltas.
+/// purpose: Connect performs the handshake, whose graph stats the
+/// caller seeds into its trained DeltaApplierRecommender, and only then
+/// does Start attach the live RecommendationService and begin pumping
+/// deltas.
 ///
 /// Start runs two threads:
 ///   * the pump reads DELTA frames, parses each SGDL payload, checks

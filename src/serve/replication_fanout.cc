@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -16,6 +15,13 @@
 
 namespace simgraph {
 namespace serve {
+namespace {
+
+/// SO_SNDTIMEO per send: a blocked send re-checks the lag cutoff at
+/// this cadence instead of wedging the sender thread.
+constexpr int64_t kSendTimeoutMs = 250;
+
+}  // namespace
 
 ReplicationFanout::ReplicationFanout(ReplicationFanoutOptions options)
     : options_(std::move(options)) {
@@ -234,23 +240,6 @@ void ReplicationFanout::RunSession(int fd) {
     return;
   }
   net::SetRecvTimeout(fd, 0);
-
-  // Load the bootstrap image before registering: an offered-but-
-  // unreadable image is a handshake reject, not a mid-session surprise.
-  const bool snapshot_offered = !options_.snapshot_path.empty();
-  std::shared_ptr<const std::string> snap;
-  if (hello.want_snapshot && snapshot_offered) {
-    snap = Snapshot();
-    if (snap == nullptr) {
-      SIMGRAPH_COUNTER_ADD("serve.replication.handshake_rejects", 1);
-      WriteReplicationFrame(fd, ReplicationFrameType::kError,
-                            "snapshot image unreadable");
-      ::close(fd);
-      return;
-    }
-  }
-  // The image is seq-0 state, so every joiner resumes at its HELLO
-  // position.
   const uint64_t resume_seq = hello.applied_seq;
 
   auto replica = std::make_shared<Replica>();
@@ -266,22 +255,14 @@ void ReplicationFanout::RunSession(int fd) {
     }
     if (trimmed_through_seq_ > resume_seq) {
       // The retained log no longer covers this replica's position, and
-      // no retry can succeed: a snapshot bootstrap resumes from seq 0,
-      // which the log has outrun as well.
+      // no retry can succeed: a replica's only other state is what it
+      // trains from the dataset, which is seq 0.
       SIMGRAPH_COUNTER_ADD("serve.replication.handshake_rejects", 1);
       std::ostringstream msg;
       msg << "bootstrap gap: resume position " << resume_seq
           << " predates the retained delta log (trimmed through "
-          << trimmed_through_seq_ << "); ";
-      if (!snapshot_offered) {
-        msg << "no snapshot bootstrap is offered, so this replica "
-               "cannot join until the builder restarts or serves an "
-               "image";
-      } else {
-        msg << "the offered bootstrap image is the seq-0 startup "
-               "state, which the log has also outrun — cold join cannot "
-               "succeed until the builder restarts";
-      }
+          << trimmed_through_seq_
+          << "); this replica cannot join until the builder restarts";
       WriteReplicationFrame(fd, ReplicationFrameType::kError, msg.str());
       ::close(fd);
       return;
@@ -293,7 +274,6 @@ void ReplicationFanout::RunSession(int fd) {
     ack.built_seq = built_seq_.load();
     ack.graph_epoch = seed_graph_epoch_;
     ack.graph_edges = seed_graph_edges_;
-    ack.snapshot_follows = snap != nullptr;
     // Registration and backlog replay under one lock hold: every delta
     // shipped before this point with seq_end past the replica's
     // position is replayed from the log, every later one lands in the
@@ -314,26 +294,15 @@ void ReplicationFanout::RunSession(int fd) {
   }
   SIMGRAPH_LOG(Info) << "replication: replica '" << replica->name
                      << "' joined at seq " << resume_seq << " ("
-                     << backlog << " backlog deltas"
-                     << (ack.snapshot_follows ? ", snapshot bootstrap" : "")
-                     << ")";
+                     << backlog << " backlog deltas)";
 
-  net::SetSendTimeout(fd, options_.send_timeout_ms);
+  net::SetSendTimeout(fd, kSendTimeoutMs);
   std::string ack_payload;
   ack.SerializeTo(&ack_payload);
   bool session_ok =
       SendFrameChecked(replica, BuildReplicationFrame(
                                     ReplicationFrameType::kHelloAck,
                                     ack_payload));
-  if (session_ok && snap != nullptr) {
-    session_ok = SendFrameChecked(
-        replica, BuildReplicationFrame(ReplicationFrameType::kSnapshot,
-                                       *snap));
-    if (session_ok) {
-      SIMGRAPH_COUNTER_ADD("serve.replication.snapshot_bytes_sent",
-                           static_cast<double>(snap->size()));
-    }
-  }
 
   std::thread reader;
   if (session_ok) {
@@ -342,7 +311,7 @@ void ReplicationFanout::RunSession(int fd) {
 
   // Sender loop: drain the outbox in ship order. Everything this
   // session sends goes through this one thread, so HELLO_ACK, the
-  // snapshot, the backlog, and live deltas arrive strictly ordered.
+  // backlog, and live deltas arrive strictly ordered.
   while (session_ok) {
     std::shared_ptr<const std::string> frame;
     {
@@ -490,18 +459,6 @@ void ReplicationFanout::UpdateGaugesLocked() {
         "serve.replication.lag_events",
         static_cast<double>(built > min_acked ? built - min_acked : 0));
   }
-}
-
-std::shared_ptr<const std::string> ReplicationFanout::Snapshot() {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (snapshot_cache_ != nullptr) return snapshot_cache_;
-  std::ifstream in(options_.snapshot_path, std::ios::binary);
-  if (!in) return nullptr;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return nullptr;
-  snapshot_cache_ = std::make_shared<const std::string>(buffer.str());
-  return snapshot_cache_;
 }
 
 }  // namespace serve

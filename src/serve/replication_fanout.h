@@ -33,9 +33,6 @@ struct ReplicationFanoutOptions {
   /// hanging when the event stream pauses right after a replica stalls
   /// (lag alone only grows while new deltas ship). 0 disables.
   int64_t ack_stall_timeout_ms = 10000;
-  /// SO_SNDTIMEO per delta send; a blocked send re-checks the lag
-  /// cutoff at this cadence instead of wedging the sender thread.
-  int64_t send_timeout_ms = 250;
   /// How long a freshly accepted connection may take to produce its
   /// HELLO frame before the session is dropped (port scanners).
   int64_t handshake_timeout_ms = 10000;
@@ -43,12 +40,6 @@ struct ReplicationFanoutOptions {
   /// whose applied_seq predates the retained window is rejected with an
   /// ERROR frame ("bootstrap gap").
   int64_t delta_log_capacity = 65536;
-  /// SGCS image served to replicas that HELLO with want_snapshot; empty
-  /// means snapshot bootstrap is not offered. The image is the builder's
-  /// startup follow graph, so it always stands for seq 0: a replica
-  /// bootstrapped from it trains seq-0 state and resumes at its HELLO's
-  /// applied_seq like any other joiner.
-  std::string snapshot_path;
 };
 
 /// Builder-side replication: streams every delta the DeltaBuilder
@@ -61,9 +52,9 @@ struct ReplicationFanoutOptions {
 /// the sharded service chains ShipDelta onto its delta_observer tap
 /// (builder thread), folds MinAckedSeq into AppliedSeq/Stats, and
 /// extends WaitForApplied with WaitForAcked. Replicas connect inbound,
-/// so late joiners need nothing but the port: the handshake replays the
-/// retained delta backlog past their applied_seq, optionally preceded
-/// by the SGCS bootstrap image.
+/// so late joiners need nothing but the port (and their own copy of the
+/// dataset to train from): the handshake replays the retained delta
+/// backlog past their applied_seq.
 ///
 /// Threading: one acceptor, plus one sender and one ack-reader thread
 /// per replica session. ShipDelta serialises once and enqueues the same
@@ -163,9 +154,6 @@ class ReplicationFanout {
   void UpdateGaugesLocked();
   /// Joins and erases finished session threads. sessions_mu_ held.
   void ReapSessionsLocked();
-  /// Loads (and caches) the bytes of the configured snapshot image;
-  /// nullptr when the file is unreadable.
-  std::shared_ptr<const std::string> Snapshot();
 
   ReplicationFanoutOptions options_;
   std::atomic<bool> stopping_{false};
@@ -189,9 +177,6 @@ class ReplicationFanout {
 
   mutable std::mutex sessions_mu_;
   std::vector<Session> sessions_;
-
-  std::mutex snapshot_mu_;  // guards snapshot_cache_
-  std::shared_ptr<const std::string> snapshot_cache_;
 };
 
 }  // namespace serve

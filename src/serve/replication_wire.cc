@@ -51,8 +51,16 @@ Status Corrupt(const char* what) {
 }
 
 bool ValidFrameType(uint8_t type) {
-  return type >= static_cast<uint8_t>(ReplicationFrameType::kHello) &&
-         type <= static_cast<uint8_t>(ReplicationFrameType::kBye);
+  switch (static_cast<ReplicationFrameType>(type)) {
+    case ReplicationFrameType::kHello:
+    case ReplicationFrameType::kHelloAck:
+    case ReplicationFrameType::kDelta:
+    case ReplicationFrameType::kAck:
+    case ReplicationFrameType::kError:
+    case ReplicationFrameType::kBye:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -60,7 +68,6 @@ bool ValidFrameType(uint8_t type) {
 void ReplicaHello::SerializeTo(std::string* out) const {
   AppendRaw<uint32_t>(out, kReplicationMagic);
   AppendRaw<uint16_t>(out, version);
-  AppendRaw<uint8_t>(out, want_snapshot ? 1 : 0);
   AppendRaw<uint64_t>(out, applied_seq);
   AppendRaw<uint64_t>(out, name.size());
   out->append(name);
@@ -69,26 +76,26 @@ void ReplicaHello::SerializeTo(std::string* out) const {
 Status ReplicaHello::Parse(std::string_view bytes, ReplicaHello* out) {
   Reader reader(bytes);
   uint32_t magic = 0;
-  uint8_t want = 0;
-  if (!reader.Read(&magic)) return Corrupt("hello truncated");
+  if (!reader.Read(&magic) || !reader.Read(&out->version)) {
+    return Corrupt("hello truncated");
+  }
   if (magic != kReplicationMagic) return Corrupt("bad hello magic");
-  if (!reader.Read(&out->version) || !reader.Read(&want) ||
-      !reader.Read(&out->applied_seq) ||
+  // Checked before the rest so an older peer, whose layout differs past
+  // the version word, gets a clean version reject.
+  if (out->version != kReplicationVersion) {
+    return Corrupt("unsupported hello version");
+  }
+  if (!reader.Read(&out->applied_seq) ||
       !reader.ReadString(kMaxReplicaNameBytes, &out->name) ||
       !reader.AtEnd()) {
     return Corrupt("hello malformed");
   }
-  if (out->version != kReplicationVersion) {
-    return Corrupt("unsupported hello version");
-  }
-  out->want_snapshot = want != 0;
   return Status::Ok();
 }
 
 void ReplicaHelloAck::SerializeTo(std::string* out) const {
   AppendRaw<uint32_t>(out, kReplicationMagic);
   AppendRaw<uint16_t>(out, version);
-  AppendRaw<uint8_t>(out, snapshot_follows ? 1 : 0);
   AppendRaw<uint64_t>(out, built_seq);
   AppendRaw<uint64_t>(out, graph_epoch);
   AppendRaw<int64_t>(out, graph_edges);
@@ -97,18 +104,17 @@ void ReplicaHelloAck::SerializeTo(std::string* out) const {
 Status ReplicaHelloAck::Parse(std::string_view bytes, ReplicaHelloAck* out) {
   Reader reader(bytes);
   uint32_t magic = 0;
-  uint8_t follows = 0;
-  if (!reader.Read(&magic)) return Corrupt("hello_ack truncated");
-  if (magic != kReplicationMagic) return Corrupt("bad hello_ack magic");
-  if (!reader.Read(&out->version) || !reader.Read(&follows) ||
-      !reader.Read(&out->built_seq) || !reader.Read(&out->graph_epoch) ||
-      !reader.Read(&out->graph_edges) || !reader.AtEnd()) {
-    return Corrupt("hello_ack malformed");
+  if (!reader.Read(&magic) || !reader.Read(&out->version)) {
+    return Corrupt("hello_ack truncated");
   }
+  if (magic != kReplicationMagic) return Corrupt("bad hello_ack magic");
   if (out->version != kReplicationVersion) {
     return Corrupt("unsupported hello_ack version");
   }
-  out->snapshot_follows = follows != 0;
+  if (!reader.Read(&out->built_seq) || !reader.Read(&out->graph_epoch) ||
+      !reader.Read(&out->graph_edges) || !reader.AtEnd()) {
+    return Corrupt("hello_ack malformed");
+  }
   return Status::Ok();
 }
 

@@ -12,24 +12,24 @@ namespace serve {
 
 /// SGRP — the replication session protocol between the delta builder
 /// and remote shard replicas (docs/replication.md). It carries the
-/// existing SGDL delta encoding (core/simgraph_delta.h) and raw SGCS
-/// snapshot images (docs/store.md) inside length-prefixed frames:
+/// existing SGDL delta encoding (core/simgraph_delta.h) inside
+/// length-prefixed frames:
 ///
 ///   u32 LE payload length | u8 frame type | payload bytes
 ///
 /// Frames flow both ways on one TCP connection: the replica opens it,
-/// sends HELLO, the builder answers HELLO_ACK (optionally followed by a
-/// SNAPSHOT bootstrap image), then streams DELTA frames forever while
-/// the replica sends ACK frames back. Either side may close with BYE;
-/// the builder rejects a broken handshake with ERROR.
+/// sends HELLO, the builder answers HELLO_ACK, then streams DELTA frames
+/// (the retained backlog first) while the replica sends ACK frames
+/// back. Either side may close with BYE; the builder rejects a broken
+/// handshake with ERROR.
 ///
 /// Like the SGDL parser, every decoder here treats the peer as hostile:
 /// lengths are capped, magic/version are checked, and a malformed frame
 /// fails the session instead of the process.
 enum class ReplicationFrameType : uint8_t {
-  kHello = 1,     // replica -> builder: handshake + bootstrap request
+  kHello = 1,     // replica -> builder: handshake + resume position
   kHelloAck = 2,  // builder -> replica: accepted; builder's position
-  kSnapshot = 3,  // builder -> replica: raw SGCS image bytes
+  // 3 was SNAPSHOT (v1's graph-image bootstrap); the reader rejects it.
   kDelta = 4,     // builder -> replica: one serialized SimGraphDelta
   kAck = 5,       // replica -> builder: u64 LE applied sequence number
   kError = 6,     // builder -> replica: handshake rejected (utf8 reason)
@@ -40,22 +40,20 @@ enum class ReplicationFrameType : uint8_t {
 /// vet that the peer actually speaks this protocol (a port scanner or a
 /// misdirected NDJSON client fails here, not deep in delta parsing).
 inline constexpr uint32_t kReplicationMagic = 0x50524753;
-inline constexpr uint16_t kReplicationVersion = 1;
+inline constexpr uint16_t kReplicationVersion = 2;
 
-/// Hard per-frame cap. Deltas are KBs; snapshot images are the only
-/// large frames and a 1 GiB SGCS image is far beyond anything this repo
-/// generates. A hostile length prefix past this fails the session
-/// before any allocation happens.
+/// Hard per-frame cap. DELTA frames are the largest, and a delta of
+/// any batch this repo builds is orders of magnitude below 1 GiB. A
+/// hostile length prefix past this fails the session before any
+/// allocation happens.
 inline constexpr uint64_t kMaxReplicationFrameBytes = 1ull << 30;
 
 /// HELLO payload: who the replica is and where it stands. applied_seq
 /// is the last event sequence the replica has applied (0 for a cold
-/// start); the builder replays every retained delta past it. A replica
-/// with no local SGCS image sets want_snapshot and receives the
-/// builder's image as a SNAPSHOT frame right after HELLO_ACK.
+/// start, after training from its own copy of the dataset); the
+/// builder replays every retained delta past it.
 struct ReplicaHello {
   uint16_t version = kReplicationVersion;
-  bool want_snapshot = false;
   uint64_t applied_seq = 0;
   std::string name;  // for logs/metrics; bounded at parse time
 
@@ -68,7 +66,6 @@ struct ReplicaHello {
 /// edge count) from here; refresh deltas carry both forward.
 struct ReplicaHelloAck {
   uint16_t version = kReplicationVersion;
-  bool snapshot_follows = false;
   uint64_t built_seq = 0;
   uint64_t graph_epoch = 0;
   int64_t graph_edges = 0;

@@ -10,13 +10,18 @@
 
 namespace simgraph {
 namespace serve {
+namespace {
+
+constexpr int32_t kCacheStripes = 64;  // result-cache lock stripes
+
+}  // namespace
 
 RecommendationService::RecommendationService(
     std::unique_ptr<ServingRecommender> recommender, ServiceOptions options)
     : recommender_(std::move(recommender)),
       options_(options),
       flight_recorder_(options.flight_recorder_capacity),
-      queue_(options.ingest_queue_capacity) {
+      queue_(kIngestQueueCapacity) {
   SIMGRAPH_CHECK(recommender_ != nullptr);
   if (options_.shard >= 0) {
     auto& registry = metrics::Registry::Global();
@@ -39,7 +44,7 @@ Status RecommendationService::Train(const Dataset& dataset,
   num_tweets_ = static_cast<int64_t>(dataset.tweets.size());
   if (options_.cache_ttl >= 0) {
     cache_ = std::make_unique<ResultCache>(num_users_, options_.cache_ttl,
-                                           options_.cache_stripes);
+                                           kCacheStripes);
   }
   return Status::Ok();
 }

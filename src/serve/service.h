@@ -24,10 +24,11 @@
 namespace simgraph {
 namespace serve {
 
+/// Capacity of every ingestion queue: a service's own and the delta
+/// pipeline's global one. Publish blocks when full (backpressure).
+inline constexpr int64_t kIngestQueueCapacity = 4096;
+
 struct ServiceOptions {
-  /// Capacity of the event ingestion queue; Publish blocks when full
-  /// (backpressure).
-  int64_t ingest_queue_capacity = 4096;
   /// Result-cache TTL in simulated seconds. Negative disables caching
   /// entirely; 0 caches within the same simulated instant only.
   Timestamp cache_ttl = 0;
@@ -36,8 +37,6 @@ struct ServiceOptions {
   /// request degrades immediately — deterministic load shedding, also
   /// used by tests to pin the degradation path.
   std::chrono::microseconds deadline{0};
-  /// Lock stripes of the result cache.
-  int32_t cache_stripes = 64;
   /// Index of this service within a sharded deployment (see
   /// sharded_service.h). >= 0 additionally records per-shard metrics
   /// under metrics::ShardMetricName(base, shard); -1 (the default,

@@ -19,9 +19,6 @@ ShardedService::ShardedService(const ServingSimGraphOptions& simgraph_options,
   // same freshness window — or replay diverges.
   DeltaApplierOptions applier_options;
   applier_options.freshness_window = simgraph_options.freshness_window;
-  // Image-backed serving: every shard pins the builder's shared mmap'd
-  // graph image — one image per process, never per-shard copies.
-  applier_options.graph_image = simgraph_options.graph_image;
   shards_.reserve(static_cast<size_t>(router_.num_shards()));
   appliers_.reserve(static_cast<size_t>(router_.num_shards()));
   for (int32_t i = 0; i < router_.num_shards(); ++i) {
@@ -37,7 +34,6 @@ ShardedService::ShardedService(const ServingSimGraphOptions& simgraph_options,
   shard_ptrs.reserve(shards_.size());
   for (const auto& shard : shards_) shard_ptrs.push_back(shard.get());
   DeltaBuilderOptions builder_options;
-  builder_options.queue_capacity = options_.ingest_queue_capacity;
   builder_options.max_batch_events = options_.max_batch_events;
   builder_options.delta_observer = options_.delta_observer;
   if (options_.replication != nullptr) {

@@ -26,9 +26,6 @@ struct ShardedServiceOptions {
   /// Options applied to every shard's RecommendationService; the `shard`
   /// field is overwritten per shard (it labels per-shard metrics).
   ServiceOptions shard_options;
-  /// Capacity of the pipeline's global ingestion queue (Publish blocks
-  /// when full — backpressure, exactly as on an unsharded service).
-  int64_t ingest_queue_capacity = 4096;
   /// Upper bound of events the DeltaBuilder folds into one delta when a
   /// backlog forms (see DeltaBuilderOptions::max_batch_events).
   int64_t max_batch_events = 16;

@@ -88,9 +88,10 @@ TEST_F(GraphImageEquivalenceTest, EightShardImageServiceMatchesInRamService) {
   ShardedService ram_service(ram_options, options);
   ShardedService image_service(image_options, options);
 
-  // One image per process: the test handle, the local options copy, the
-  // builder source, and the 8 pinned applier shards — and nothing else.
-  EXPECT_EQ(image_.use_count(), 1 + 1 + 1 + 8);
+  // One image per process: the test handle, the local options copy and
+  // the builder source. The applier shards hold no image: deltas carry
+  // everything they replay.
+  EXPECT_EQ(image_.use_count(), 1 + 1 + 1);
 
   const Dataset stripped = StrippedDataset();
   ASSERT_EQ(stripped.follow_graph.num_nodes(), 0);

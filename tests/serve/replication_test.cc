@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
+#include <functional>
 #include <memory>
-#include <sstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,21 +22,12 @@
 #include "serve/replication_wire.h"
 #include "serve/service.h"
 #include "serve/sharded_service.h"
-#include "store/graph_image.h"
-#include "store/snapshot_writer.h"
 #include "util/metrics.h"
 #include "util/net.h"
 
 namespace simgraph {
 namespace serve {
 namespace {
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 // ---------------------------------------------------------------------
 // SGRP frame codec: round trips plus hostile-input vetting. A
@@ -111,9 +102,20 @@ TEST_F(ReplicationWireTest, TruncatedFrameIsAnIoError) {
   EXPECT_FALSE(ReadReplicationFrame(reader_, &type, &payload).ok());
 }
 
+// Type 3 was v1's SNAPSHOT frame; v2 retired it, so it is as unknown as
+// any other unassigned type.
+TEST_F(ReplicationWireTest, RejectsRetiredSnapshotFrameType) {
+  const char raw[] = {0, 0, 0, 0, 3};
+  ASSERT_TRUE(net::SendAll(writer_, raw, sizeof(raw)));
+  ReplicationFrameType type;
+  std::string payload;
+  const Status status = ReadReplicationFrame(reader_, &type, &payload);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+      << status.ToString();
+}
+
 TEST(ReplicationHandshakeCodecTest, HelloRoundTrip) {
   ReplicaHello hello;
-  hello.want_snapshot = true;
   hello.applied_seq = 12345;
   hello.name = "replica-7";
   std::string bytes;
@@ -121,7 +123,6 @@ TEST(ReplicationHandshakeCodecTest, HelloRoundTrip) {
   ReplicaHello parsed;
   ASSERT_TRUE(ReplicaHello::Parse(bytes, &parsed).ok());
   EXPECT_EQ(parsed.version, kReplicationVersion);
-  EXPECT_TRUE(parsed.want_snapshot);
   EXPECT_EQ(parsed.applied_seq, 12345u);
   EXPECT_EQ(parsed.name, "replica-7");
 }
@@ -158,7 +159,6 @@ TEST(ReplicationHandshakeCodecTest, HelloRejectsHostileInput) {
 
 TEST(ReplicationHandshakeCodecTest, HelloAckRoundTripAndAck) {
   ReplicaHelloAck ack;
-  ack.snapshot_follows = true;
   ack.built_seq = 77;
   ack.graph_epoch = 3;
   ack.graph_edges = 4242;
@@ -166,7 +166,6 @@ TEST(ReplicationHandshakeCodecTest, HelloAckRoundTripAndAck) {
   ack.SerializeTo(&bytes);
   ReplicaHelloAck parsed;
   ASSERT_TRUE(ReplicaHelloAck::Parse(bytes, &parsed).ok());
-  EXPECT_TRUE(parsed.snapshot_follows);
   EXPECT_EQ(parsed.built_seq, 77u);
   EXPECT_EQ(parsed.graph_epoch, 3u);
   EXPECT_EQ(parsed.graph_edges, 4242);
@@ -177,6 +176,113 @@ TEST(ReplicationHandshakeCodecTest, HelloAckRoundTripAndAck) {
       DecodeReplicationAck(EncodeReplicationAck(987654321), &seq).ok());
   EXPECT_EQ(seq, 987654321u);
   EXPECT_FALSE(DecodeReplicationAck("bad", &seq).ok());
+}
+
+// A v1 HELLO (version 1, then the retired snapshot-request byte) is turned
+// away on its version word, whatever follows it.
+TEST(ReplicationHandshakeCodecTest, RejectsV1Hello) {
+  std::string v1;
+  const uint32_t magic = kReplicationMagic;
+  const uint16_t version = 1;
+  const uint8_t snapshot_request = 1;
+  const uint64_t applied_seq = 0;
+  const std::string name = "old-replica";
+  const uint64_t name_size = name.size();
+  v1.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  v1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  v1.append(reinterpret_cast<const char*>(&snapshot_request), 1);
+  v1.append(reinterpret_cast<const char*>(&applied_seq),
+            sizeof(applied_seq));
+  v1.append(reinterpret_cast<const char*>(&name_size), sizeof(name_size));
+  v1.append(name);
+  ReplicaHello parsed;
+  const Status status = ReplicaHello::Parse(v1, &parsed);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unsupported hello version"),
+            std::string::npos)
+      << status.ToString();
+}
+
+// Every byte of a serialized HELLO, HELLO_ACK and ACK payload, XORed
+// with 8 seeded nonzero masks: the decoder either rejects the payload
+// or accepts exactly what it would itself have written, so no mutated
+// byte is silently dropped or reinterpreted.
+TEST(ReplicationHandshakeCodecTest, SingleByteMutationsParseExactlyOrFail) {
+  // Parses `bytes` and, when that succeeds, reserializes into `out`.
+  using Reparse = std::function<bool(const std::string&, std::string*)>;
+  const auto mutate_all = [](const std::string& wire, const Reparse& reparse,
+                             int64_t* accepted, int64_t* rejected) {
+    std::mt19937 rng(20231);
+    std::uniform_int_distribution<int> mask(1, 255);
+    for (size_t offset = 0; offset < wire.size(); ++offset) {
+      for (int trial = 0; trial < 8; ++trial) {
+        std::string mutated = wire;
+        mutated[offset] = static_cast<char>(
+            static_cast<uint8_t>(mutated[offset]) ^ mask(rng));
+        std::string reserialized;
+        if (!reparse(mutated, &reserialized)) {
+          ++*rejected;
+          continue;
+        }
+        ++*accepted;
+        ASSERT_EQ(reserialized, mutated) << "offset " << offset;
+      }
+    }
+  };
+
+  ReplicaHello hello;
+  hello.applied_seq = 4096;
+  hello.name = "fuzzed";
+  std::string wire;
+  hello.SerializeTo(&wire);
+  int64_t accepted = 0;
+  int64_t rejected = 0;
+  mutate_all(
+      wire,
+      [](const std::string& bytes, std::string* out) {
+        ReplicaHello parsed;
+        if (!ReplicaHello::Parse(bytes, &parsed).ok()) return false;
+        parsed.SerializeTo(out);
+        return true;
+      },
+      &accepted, &rejected);
+  // Sequence and name bytes change values; magic, version and the name
+  // length break the parse.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+
+  ReplicaHelloAck ack;
+  ack.built_seq = 77;
+  ack.graph_epoch = 3;
+  ack.graph_edges = 4242;
+  wire.clear();
+  ack.SerializeTo(&wire);
+  accepted = rejected = 0;
+  mutate_all(
+      wire,
+      [](const std::string& bytes, std::string* out) {
+        ReplicaHelloAck parsed;
+        if (!ReplicaHelloAck::Parse(bytes, &parsed).ok()) return false;
+        parsed.SerializeTo(out);
+        return true;
+      },
+      &accepted, &rejected);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+
+  // An ACK is one u64: every value is a valid sequence number.
+  accepted = rejected = 0;
+  mutate_all(
+      EncodeReplicationAck(987654321),
+      [](const std::string& bytes, std::string* out) {
+        uint64_t seq = 0;
+        if (!DecodeReplicationAck(bytes, &seq).ok()) return false;
+        *out = EncodeReplicationAck(seq);
+        return true;
+      },
+      &accepted, &rejected);
+  EXPECT_EQ(accepted, 8 * 8);
+  EXPECT_EQ(rejected, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -219,28 +325,17 @@ class ReplicationTest : public ::testing::Test {
   /// Connects, trains, and starts one remote replica against the builder
   /// at `port`. `applied_seq` is the HELLO resume position.
   void StartRemote(uint16_t port, RemoteReplica* remote,
-                   const std::string& name, uint64_t applied_seq = 0,
-                   bool want_snapshot = false,
-                   const std::string& snapshot_save_path = "") {
+                   const std::string& name, uint64_t applied_seq = 0) {
     ReplicationClientOptions client_options;
     client_options.port = port;
     client_options.name = name;
-    client_options.want_snapshot = want_snapshot;
-    client_options.snapshot_save_path = snapshot_save_path;
     remote->client =
         std::make_unique<ReplicationClient>(client_options);
     ASSERT_TRUE(
         remote->client->Connect(applied_seq, &remote->bootstrap).ok());
 
-    DeltaApplierOptions applier_options;  // defaults mirror the builder
-    if (want_snapshot) {
-      StatusOr<std::shared_ptr<const store::GraphImage>> image =
-          store::GraphImage::Load(snapshot_save_path);
-      ASSERT_TRUE(image.ok()) << image.status().ToString();
-      applier_options.graph_image = *std::move(image);
-    }
-    auto applier =
-        std::make_unique<DeltaApplierRecommender>(applier_options);
+    // Default options mirror the builder's.
+    auto applier = std::make_unique<DeltaApplierRecommender>();
     remote->applier = applier.get();
     ServiceOptions service_options;
     service_options.cache_ttl = 0;
@@ -336,60 +431,6 @@ TEST_F(ReplicationTest, SocketFedReplicaMatchesShardsAcrossEpochSwaps) {
   // ...and they changed the edge count, so a stale handshake value
   // would have shown.
   EXPECT_NE(service.Stats().graph_edges, remote.bootstrap.graph_edges);
-  EXPECT_EQ(fanout.num_degraded(), 0);
-
-  remote.Shutdown();
-  service.Stop();
-  fanout.Stop();
-}
-
-// Late join + snapshot bootstrap: a replica that shows up mid-stream
-// requests the SGCS image, receives the retained delta backlog since
-// seq 0, and converges bit-identically; the fetched image is
-// byte-identical to the builder's file and Load-validates.
-TEST_F(ReplicationTest, LateJoinerBootstrapsSnapshotAndBacklog) {
-  const std::string image_path =
-      ::testing::TempDir() + "/replication_builder.sgcs";
-  const std::string fetched_path =
-      ::testing::TempDir() + "/replication_fetched.sgcs";
-  ASSERT_TRUE(
-      store::WriteDigraphSnapshot(dataset_.follow_graph, image_path).ok());
-
-  ReplicationFanoutOptions fanout_options;
-  fanout_options.snapshot_path = image_path;
-  ReplicationFanout fanout(fanout_options);
-  ASSERT_TRUE(fanout.Start().ok());
-
-  ShardedServiceOptions options;
-  options.num_shards = 2;
-  options.shard_options.cache_ttl = 0;
-  options.max_batch_events = 4;
-  options.replication = &fanout;
-  ShardedService service(ServingSimGraphOptions{}, options);
-  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
-  service.Start();
-
-  // First half of the stream ships with no replica attached: these
-  // deltas exist only in the fanout's retained log.
-  const int64_t half = num_test_ / 2;
-  uint64_t seq = 0;
-  for (int64_t i = 0; i < half; ++i) seq = service.Publish(TestEvent(i));
-  service.WaitForApplied(seq);
-
-  RemoteReplica remote;
-  StartRemote(fanout.port(), &remote, "late-joiner", /*applied_seq=*/0,
-              /*want_snapshot=*/true, fetched_path);
-  EXPECT_TRUE(remote.bootstrap.snapshot_received);
-  EXPECT_EQ(ReadFileBytes(fetched_path), ReadFileBytes(image_path));
-
-  // The backlog replay must drain into the replica before new deltas.
-  for (int64_t i = half; i < num_test_; ++i) {
-    seq = service.Publish(TestEvent(i));
-  }
-  service.WaitForApplied(seq);
-  EXPECT_EQ(seq, static_cast<uint64_t>(num_test_));
-  ExpectRemoteMatchesService(&service, &remote,
-                             TestEvent(num_test_ - 1).time);
   EXPECT_EQ(fanout.num_degraded(), 0);
 
   remote.Shutdown();
@@ -629,7 +670,10 @@ TEST_F(ReplicationTest, LateJoinerBacklogBeyondLagCutoffStillDrains) {
 }
 
 // A replica whose resume position predates the retained delta log is
-// told to bootstrap from a snapshot instead of silently diverging.
+// rejected instead of silently diverging, and the message says the one
+// thing that helps: no retry works until the builder restarts (a
+// replica's only other state is the seq-0 state it trains from the
+// dataset, which the log has outrun too).
 TEST_F(ReplicationTest, BootstrapGapIsRejected) {
   metrics::SetEnabled(true);
   metrics::Registry::Global().Reset();
@@ -667,53 +711,7 @@ TEST_F(ReplicationTest, BootstrapGapIsRejected) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("bootstrap gap"), std::string::npos)
       << status.ToString();
-
-  service.Stop();
-  fanout.Stop();
-}
-
-// Once the log has trimmed past what the startup image covers, a cold
-// want_snapshot joiner is rejected with an HONEST message — not advice
-// to retry a bootstrap that resumes from the same stale image and is
-// rejected identically.
-TEST_F(ReplicationTest, TrimmedLogColdJoinRejectionIsHonest) {
-  const std::string image_path =
-      ::testing::TempDir() + "/replication_trim_honest.sgcs";
-  ASSERT_TRUE(
-      store::WriteDigraphSnapshot(dataset_.follow_graph, image_path).ok());
-
-  ReplicationFanoutOptions fanout_options;
-  fanout_options.delta_log_capacity = 2;  // force trimming immediately
-  fanout_options.snapshot_path = image_path;  // startup image: seq 0
-  ReplicationFanout fanout(fanout_options);
-  ASSERT_TRUE(fanout.Start().ok());
-
-  ShardedServiceOptions options;
-  options.num_shards = 1;
-  options.shard_options.cache_ttl = 0;
-  options.max_batch_events = 1;
-  options.replication = &fanout;
-  ShardedService service(ServingSimGraphOptions{}, options);
-  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
-  service.Start();
-  uint64_t seq = 0;
-  for (int64_t i = 0; i < 16; ++i) seq = service.Publish(TestEvent(i));
-  service.WaitForApplied(seq);
-
-  ReplicationClientOptions client_options;
-  client_options.port = fanout.port();
-  client_options.name = "cold";
-  client_options.want_snapshot = true;
-  client_options.snapshot_save_path =
-      ::testing::TempDir() + "/replication_trim_honest_fetched.sgcs";
-  ReplicationClient client(client_options);
-  ReplicationBootstrap bootstrap;
-  const Status status = client.Connect(/*applied_seq=*/0, &bootstrap);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("cold join cannot succeed"),
-            std::string::npos)
-      << status.ToString();
-  EXPECT_EQ(status.message().find("rejoin with a snapshot bootstrap"),
+  EXPECT_NE(status.message().find("cannot join until the builder restarts"),
             std::string::npos)
       << status.ToString();
 

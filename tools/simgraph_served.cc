@@ -51,10 +51,6 @@
 //                                        this SGRP port; 0 picks ephemeral.
 //                                        Requires --method simgraph
 //                                        (docs/replication.md)
-//                   [--replication-image PATH] write the follow graph as an
-//                                        SGCS image to PATH and serve it to
-//                                        replicas that bootstrap with
-//                                        want_snapshot
 //                   [--replication-max-lag N] bounded-lag cutoff in events
 //                                        (default 65536)
 //                   [--replication-stall-ms N] ack-stall degrade backstop
@@ -223,16 +219,6 @@ int Run(int argc, char** argv) {
         FlagInt(flags, "replication-max-lag", 65536);
     fanout_options.ack_stall_timeout_ms =
         FlagInt(flags, "replication-stall-ms", 10000);
-    fanout_options.snapshot_path = FlagString(flags, "replication-image");
-    if (!fanout_options.snapshot_path.empty()) {
-      const StatusOr<store::SnapshotBuildStats> written =
-          store::WriteDigraphSnapshot(dataset.follow_graph,
-                                      fanout_options.snapshot_path);
-      if (!written.ok()) {
-        std::cerr << written.status().ToString() << "\n";
-        return 1;
-      }
-    }
     fanout = std::make_unique<serve::ReplicationFanout>(fanout_options);
     options.replication = fanout.get();
   }

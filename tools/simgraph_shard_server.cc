@@ -2,13 +2,13 @@
 // (docs/replication.md).
 //
 // Connects to a builder's replication port (simgraph_served
-// --replication-port), bootstraps — from a local mmap'd SGCS image, the
-// builder-served image, or bare — then consumes SGDL delta frames over
-// the socket, applies them through the in-process DeltaApplier, and
-// answers recommend requests over its own NDJSON front-end. Replay goes
-// through the exact PublishItem path an in-process shard queue feeds,
-// so the replica's answers are bit-identical to the builder's shards
-// (tests/serve/replication_test.cc).
+// --replication-port), trains its candidate state from its own copy of
+// the dataset, then consumes SGDL delta frames over the socket (the
+// builder's retained log first), applies them through the in-process
+// DeltaApplier, and answers recommend requests over its own NDJSON
+// front-end. Replay goes through the exact PublishItem path an
+// in-process shard queue feeds, so the replica's answers are
+// bit-identical to the builder's shards (tests/serve/replication_test.cc).
 //
 //   simgraph_shard_server --connect PORT     builder's replication port
 //                   [--name NAME]            replica name in HELLO
@@ -19,11 +19,6 @@
 //                                            dataset flags, or replay
 //                                            diverges
 //                   [--train F]              train fraction (default 0.9)
-//                   [--snapshot PATH]        pin a local SGCS graph image
-//                   [--fetch-snapshot PATH]  request the builder's image
-//                                            at handshake, save to PATH,
-//                                            then pin it (validated by
-//                                            store::GraphImage::Load)
 //                   [--ttl SECONDS] [--deadline-us N]
 //                   [--metrics-json PATH]
 //
@@ -117,15 +112,11 @@ int Run(int argc, char** argv) {
   const double load_s = phase.ElapsedSeconds();
   const int64_t train_end = dataset.SplitIndex(FlagDouble(flags, "train", 0.9));
 
-  // Phase 1: handshake. Runs before the service exists because the
-  // snapshot bootstrap may hand us the graph image the applier must pin
-  // at Train time.
-  const std::string fetch_path = FlagString(flags, "fetch-snapshot");
+  // Phase 1: handshake. A builder that rejects this replica fails it
+  // before the training cost is paid.
   serve::ReplicationClientOptions client_options;
   client_options.port = static_cast<uint16_t>(FlagInt(flags, "connect", 0));
   client_options.name = FlagString(flags, "name", "replica");
-  client_options.want_snapshot = !fetch_path.empty();
-  client_options.snapshot_save_path = fetch_path;
   serve::ReplicationClient client(client_options);
   serve::ReplicationBootstrap bootstrap;
   const Status connected = client.Connect(/*applied_seq=*/0, &bootstrap);
@@ -134,23 +125,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  std::string image_path = FlagString(flags, "snapshot");
-  if (!fetch_path.empty()) image_path = fetch_path;
-  serve::DeltaApplierOptions applier_options;
-  if (!image_path.empty()) {
-    // Load validates checksums and structure — a corrupt or hostile
-    // bootstrap image fails here, before any query runs.
-    StatusOr<std::shared_ptr<const store::GraphImage>> image =
-        store::GraphImage::Load(image_path);
-    if (!image.ok()) {
-      std::cerr << image.status().ToString() << "\n";
-      return 1;
-    }
-    applier_options.graph_image = *std::move(image);
-  }
-
-  auto applier =
-      std::make_unique<serve::DeltaApplierRecommender>(applier_options);
+  auto applier = std::make_unique<serve::DeltaApplierRecommender>();
   serve::DeltaApplierRecommender* applier_ptr = applier.get();
   serve::ServiceOptions service_options;
   service_options.cache_ttl = FlagInt(flags, "ttl", kSecondsPerDay);
@@ -182,12 +157,7 @@ int Run(int argc, char** argv) {
   std::cout << "replica " << client_options.name << " joined (builder seq "
             << bootstrap.built_seq << ", graph epoch "
             << bootstrap.graph_epoch << ", " << bootstrap.graph_edges
-            << " edges";
-  if (bootstrap.snapshot_received) {
-    std::cout << ", fetched " << bootstrap.snapshot_bytes
-              << "-byte snapshot";
-  }
-  std::cout << ")\n"
+            << " edges)\n"
             << "listening on port " << server.port() << std::endl;
 
   std::string line;
