@@ -670,10 +670,7 @@ TEST_F(ReplicationTest, LateJoinerBacklogBeyondLagCutoffStillDrains) {
 }
 
 // A replica whose resume position predates the retained delta log is
-// rejected instead of silently diverging, and the message says the one
-// thing that helps: no retry works until the builder restarts (a
-// replica's only other state is the seq-0 state it trains from the
-// dataset, which the log has outrun too).
+// rejected instead of silently diverging.
 TEST_F(ReplicationTest, BootstrapGapIsRejected) {
   metrics::SetEnabled(true);
   metrics::Registry::Global().Reset();
@@ -711,8 +708,45 @@ TEST_F(ReplicationTest, BootstrapGapIsRejected) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("bootstrap gap"), std::string::npos)
       << status.ToString();
+
+  service.Stop();
+  fanout.Stop();
+}
+
+// Once the log has trimmed past seq 0, a cold joiner (one that trained
+// from the dataset, so its state is seq 0) is rejected with an HONEST
+// message: no retry works until the builder restarts, since a replica
+// has no other state to resume from. The message must not advise a
+// snapshot bootstrap that no longer exists.
+TEST_F(ReplicationTest, TrimmedLogColdJoinRejectionIsHonest) {
+  ReplicationFanoutOptions fanout_options;
+  fanout_options.delta_log_capacity = 2;  // force trimming immediately
+  ReplicationFanout fanout(fanout_options);
+  ASSERT_TRUE(fanout.Start().ok());
+
+  ShardedServiceOptions options;
+  options.num_shards = 1;
+  options.shard_options.cache_ttl = 0;
+  options.max_batch_events = 1;
+  options.replication = &fanout;
+  ShardedService service(ServingSimGraphOptions{}, options);
+  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
+  service.Start();
+  uint64_t seq = 0;
+  for (int64_t i = 0; i < 16; ++i) seq = service.Publish(TestEvent(i));
+  service.WaitForApplied(seq);
+
+  ReplicationClientOptions client_options;
+  client_options.port = fanout.port();
+  client_options.name = "cold";
+  ReplicationClient client(client_options);
+  ReplicationBootstrap bootstrap;
+  const Status status = client.Connect(/*applied_seq=*/0, &bootstrap);
+  EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("cannot join until the builder restarts"),
             std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("snapshot"), std::string::npos)
       << status.ToString();
 
   service.Stop();
