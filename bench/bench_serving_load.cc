@@ -23,8 +23,8 @@
 //       replicas — each the full simgraph_shard_server stack, fed SGDL
 //       frames over a real loopback socket — attach to the builder via
 //       ReplicationFanout; the leg replays the test stream and reports
-//       events/s to full remote acknowledgement, the drain tail and wire
-//       throughput, plus a bit-identity spot check. Combines with
+//       events/s to full remote acknowledgement, the drain tail and the
+//       SGDL megabytes shipped, plus a bit-identity spot check. Combines with
 //       --shard-sweep.
 //   --soak-seconds=N  a paced minute-scale run emitting a per-window
 //       drift series with a clean and a hostile hot-key leg, gated by
@@ -389,7 +389,6 @@ struct RemoteLegResult {
   double events_per_s = 0;      ///< publish-to-remote-ack throughput
   double drain_seconds = 0;     ///< tail after the last Publish returned
   double wire_mb = 0;           ///< SGDL bytes shipped, summed over replicas
-  double wire_mb_per_s = 0;
   int64_t deltas_sent = 0;
   int64_t degraded = 0;
   int64_t check_failures = 0;
@@ -435,6 +434,8 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
     serve::ReplicationClientOptions client_options;
     client_options.port = fanout.port();
     client_options.name = "bench-replica-" + std::to_string(i);
+    client_options.dataset_fingerprint =
+        serve::TrainingFingerprint(dataset, protocol.train_end);
     replica.client =
         std::make_unique<serve::ReplicationClient>(client_options);
     serve::ReplicationBootstrap bootstrap;
@@ -512,7 +513,6 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
   out->events_per_s = num_events / std::max(total_seconds, 1e-9);
   out->drain_seconds = drain_seconds;
   out->wire_mb = wire_bytes / 1e6;
-  out->wire_mb_per_s = out->wire_mb / std::max(total_seconds, 1e-9);
   out->deltas_sent =
       registry.counter("serve.replication.deltas_sent").value();
   out->degraded = fanout.num_degraded();
@@ -534,7 +534,6 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
   table.AddRow({"events/s to remote ack", TableWriter::Cell(out->events_per_s)});
   table.AddRow({"drain tail (s)", TableWriter::Cell(out->drain_seconds)});
   table.AddRow({"wire MB shipped", TableWriter::Cell(out->wire_mb)});
-  table.AddRow({"wire MB/s", TableWriter::Cell(out->wire_mb_per_s)});
   table.AddRow({"deltas sent", TableWriter::Cell(out->deltas_sent)});
   table.AddRow({"degraded replicas", TableWriter::Cell(out->degraded)});
   table.AddRow({"spot-check divergences", TableWriter::Cell(check_failures)});
@@ -1143,8 +1142,9 @@ int Run(int argc, char** argv) {
                  << "}\n  }";
       }
       if (has_remote) {
-        // events_per_s / wire_mb_per_s flatten to higher-is-better gates
-        // in tools/metrics_diff; the rest is informational.
+        // events_per_s gates throughput (higher is better) and wire_mb
+        // gates size (lower is better) in tools/metrics_diff; the rest is
+        // informational.
         snapshot << ",\n  \"remote\": {\n"
                  << "    \"replicas\": " << remote.replicas << ",\n"
                  << "    \"events\": " << remote.events << ",\n"
@@ -1152,8 +1152,6 @@ int Run(int argc, char** argv) {
                  << "    \"drain_seconds\": " << remote.drain_seconds
                  << ",\n"
                  << "    \"wire_mb\": " << remote.wire_mb << ",\n"
-                 << "    \"wire_mb_per_s\": " << remote.wire_mb_per_s
-                 << ",\n"
                  << "    \"deltas_sent\": " << remote.deltas_sent << ",\n"
                  << "    \"degraded\": " << remote.degraded << "\n  }";
       }

@@ -106,6 +106,7 @@ if [[ "${SIMGRAPH_VERIFY_BENCH:-0}" == "1" ]]; then
     || fail 3 "perfbench record failed (an incorrect run or failed ops)"
   ./build/tools/metrics_diff BENCH_perfbench.json "$perfbench_record" \
     --threshold=3.0 --threshold=.p99:4 --threshold=lag_ms.p99:20 \
+    --slack=lag_ms.p99:5 \
     --threshold=frontend.self_us.p99:500 \
     --threshold=publish.block_us.p99:500 \
     --threshold=read_path_sum_error:4 --threshold=batch_:1.0 \

@@ -118,7 +118,8 @@ void Propagator::PropagateInto(const std::vector<UserId>& seeds,
     result->converged = true;
     return;
   }
-  std::sort(frontier.begin(), frontier.end());
+  // Frontier order is unobservable: each round reads only the previous
+  // round's value_, and `touched` is sorted before results are emitted.
   // The frontier vector is consumed by the iteration loop; keep the deduped
   // seed list around for per-iteration gen pre-stamping and the value_
   // cleanup at the end of the run.
@@ -214,7 +215,6 @@ void Propagator::PropagateInto(const std::vector<UserId>& seeds,
       ++it;
       break;
     }
-    std::sort(next_frontier.begin(), next_frontier.end());
     frontier.swap(next_frontier);
   }
 

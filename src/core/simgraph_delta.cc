@@ -1,20 +1,31 @@
 #include "core/simgraph_delta.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/logging.h"
 
 namespace simgraph {
 namespace {
 
-// Fixed-width little-endian primitives. The repo only targets
-// little-endian hosts, so encoding is a memcpy; going through memcpy
-// (not reinterpret_cast) keeps it alignment- and aliasing-clean.
-
-template <typename T>
-void AppendRaw(std::string* out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out->append(buf, sizeof(T));
-}
+// SGDL v3 layout (docs/ingest.md), little-endian:
+//
+//   header     u32 magic, u16 version, u16 flags, u64 seq_begin,
+//              u64 seq_end, i64 graph_edges, u64 snapshot_epoch,
+//              i64 evict_before
+//   consumed   u64 count, then count x (u32 user, u32 tweet)
+//   deposits   u64 count, then groups covering exactly count deposits,
+//              each u32 tweet, varint n, then n x (varint user gap,
+//              f64 score)
+//
+// A group is a maximal run of deposits on one tweet with strictly
+// increasing users — what one propagation emits. Its first gap is the
+// absolute user id. Group boundaries are a function of the deposit
+// sequence, so it round-trips in order with nothing merged or dropped.
+//
+// The repo only targets little-endian hosts, so fixed-width encoding is
+// a memcpy; going through memcpy (not reinterpret_cast) keeps it
+// alignment- and aliasing-clean.
 
 /// Bounds-checked reader over the serialized buffer.
 class Reader {
@@ -23,10 +34,29 @@ class Reader {
 
   template <typename T>
   bool Read(T* value) {
-    if (bytes_.size() - pos_ < sizeof(T)) return false;
+    if (remaining() < sizeof(T)) return false;
     std::memcpy(value, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return true;
+  }
+
+  /// Reads an LEB128 varint. False when it is truncated, longer than
+  /// its minimal form, or past u32.
+  bool ReadVarint(uint32_t* value) {
+    uint64_t result = 0;
+    for (int shift = 0; shift < 35; shift += 7) {
+      if (pos_ == bytes_.size()) return false;
+      const auto byte = static_cast<uint8_t>(bytes_[pos_++]);
+      result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        // A minimal multi-byte varint never ends in a zero byte.
+        if (byte == 0 && shift > 0) return false;
+        if (result > UINT32_MAX) return false;
+        *value = static_cast<uint32_t>(result);
+        return true;
+      }
+    }
+    return false;  // a sixth byte: past u32
   }
 
   /// Reads a section count and checks the remaining bytes can hold
@@ -34,10 +64,10 @@ class Reader {
   /// count fails fast instead of looping.
   bool ReadCount(uint64_t entry_size, uint64_t* count) {
     if (!Read(count)) return false;
-    const uint64_t remaining = bytes_.size() - pos_;
-    return entry_size == 0 || *count <= remaining / entry_size;
+    return *count <= remaining() / entry_size;
   }
 
+  size_t remaining() const { return bytes_.size() - pos_; }
   bool AtEnd() const { return pos_ == bytes_.size(); }
 
  private:
@@ -45,12 +75,68 @@ class Reader {
   size_t pos_ = 0;
 };
 
+/// Sequential writer into a buffer SerializeTo pre-sized to ByteSize().
+class Writer {
+ public:
+  explicit Writer(char* out) : out_(out) {}
+
+  template <typename T>
+  void Put(T value) {
+    std::memcpy(out_, &value, sizeof(T));
+    out_ += sizeof(T);
+  }
+
+  void PutVarint(uint32_t value) {
+    while (value >= 0x80) {
+      *out_++ = static_cast<char>((value & 0x7f) | 0x80);
+      value >>= 7;
+    }
+    *out_++ = static_cast<char>(value);
+  }
+
+  const char* position() const { return out_; }
+
+ private:
+  char* out_;
+};
+
 constexpr uint64_t kHeaderBytes = 4 + 2 + 2 +  // magic, version, flags
                                   8 * 4 +      // seqs, edges, epoch
                                   8;           // evict_before
-constexpr uint64_t kDepositBytes = 4 + 4 + 8;
 constexpr uint64_t kConsumeBytes = 4 + 4;
-constexpr uint64_t kInvalidatedBytes = 4;
+// Smallest encoded deposit: a one-byte gap and the score.
+constexpr uint64_t kMinDepositBytes = 1 + 8;
+
+uint64_t VarintSize(uint32_t value) {
+  uint64_t size = 1;
+  for (; value >= 0x80; value >>= 7) ++size;
+  return size;
+}
+
+// Ids as the wire carries them.
+uint32_t WireUser(const SimGraphDelta::Deposit& op) {
+  return static_cast<uint32_t>(op.user);
+}
+uint32_t WireTweet(const SimGraphDelta::Deposit& op) {
+  return static_cast<uint32_t>(op.tweet);
+}
+
+/// Calls `visit(begin, end)` for each deposit group, in order.
+template <typename Visit>
+void ForEachGroup(const std::vector<SimGraphDelta::Deposit>& deposits,
+                  Visit&& visit) {
+  size_t begin = 0;
+  while (begin < deposits.size()) {
+    size_t end = begin + 1;
+    while (end < deposits.size() &&
+           WireTweet(deposits[end]) == WireTweet(deposits[begin]) &&
+           WireUser(deposits[end]) > WireUser(deposits[end - 1])) {
+      ++end;
+    }
+    visit(begin, end);
+    begin = end;
+  }
+}
 
 Status Corrupt(const char* what) {
   return Status(StatusCode::kInvalidArgument,
@@ -72,38 +158,51 @@ void SimGraphDelta::Clear() {
 }
 
 int64_t SimGraphDelta::ByteSize() const {
-  return static_cast<int64_t>(
-      kHeaderBytes + 3 * 8 +  // three section counts
-      deposits.size() * kDepositBytes + consumed.size() * kConsumeBytes +
-      invalidated.size() * kInvalidatedBytes);
+  uint64_t size = kHeaderBytes + 2 * 8 +  // two section counts
+                  consumed.size() * kConsumeBytes;
+  ForEachGroup(deposits, [&](size_t begin, size_t end) {
+    size += 4 + VarintSize(static_cast<uint32_t>(end - begin)) +
+            (end - begin) * 8;
+    uint32_t prev = 0;
+    for (size_t i = begin; i < end; ++i) {
+      size += VarintSize(WireUser(deposits[i]) - prev);
+      prev = WireUser(deposits[i]);
+    }
+  });
+  return static_cast<int64_t>(size);
 }
 
 void SimGraphDelta::SerializeTo(std::string* out) const {
-  out->reserve(out->size() + static_cast<size_t>(ByteSize()));
-  AppendRaw<uint32_t>(out, kMagic);
-  AppendRaw<uint16_t>(out, kVersion);
-  AppendRaw<uint16_t>(out, flags);
-  AppendRaw<uint64_t>(out, seq_begin);
-  AppendRaw<uint64_t>(out, seq_end);
-  AppendRaw<int64_t>(out, graph_edges);
-  AppendRaw<uint64_t>(out, snapshot_epoch);
-  AppendRaw<int64_t>(out, evict_before);
+  const size_t start = out->size();
+  const auto size = static_cast<size_t>(ByteSize());
+  out->resize(start + size);
+  Writer writer(out->data() + start);
+  writer.Put<uint32_t>(kMagic);
+  writer.Put<uint16_t>(kVersion);
+  writer.Put<uint16_t>(flags);
+  writer.Put<uint64_t>(seq_begin);
+  writer.Put<uint64_t>(seq_end);
+  writer.Put<int64_t>(graph_edges);
+  writer.Put<uint64_t>(snapshot_epoch);
+  writer.Put<int64_t>(evict_before);
 
-  AppendRaw<uint64_t>(out, deposits.size());
-  for (const Deposit& op : deposits) {
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.user));
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.tweet));
-    AppendRaw<double>(out, op.score);
-  }
-  AppendRaw<uint64_t>(out, consumed.size());
+  writer.Put<uint64_t>(consumed.size());
   for (const Consume& op : consumed) {
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.user));
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.tweet));
+    writer.Put<uint32_t>(static_cast<uint32_t>(op.user));
+    writer.Put<uint32_t>(static_cast<uint32_t>(op.tweet));
   }
-  AppendRaw<uint64_t>(out, invalidated.size());
-  for (const UserId user : invalidated) {
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(user));
-  }
+  writer.Put<uint64_t>(deposits.size());
+  ForEachGroup(deposits, [&](size_t begin, size_t end) {
+    writer.Put<uint32_t>(WireTweet(deposits[begin]));
+    writer.PutVarint(static_cast<uint32_t>(end - begin));
+    uint32_t prev = 0;
+    for (size_t i = begin; i < end; ++i) {
+      writer.PutVarint(WireUser(deposits[i]) - prev);
+      writer.Put<double>(deposits[i].score);
+      prev = WireUser(deposits[i]);
+    }
+  });
+  SIMGRAPH_CHECK(writer.position() == out->data() + start + size);
 }
 
 Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
@@ -128,20 +227,6 @@ Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
   if (out->seq_end < out->seq_begin) return Corrupt("inverted seq range");
 
   uint64_t count = 0;
-  if (!reader.ReadCount(kDepositBytes, &count)) {
-    return Corrupt("bad deposits count");
-  }
-  out->deposits.resize(count);
-  for (Deposit& op : out->deposits) {
-    uint32_t user = 0;
-    uint32_t tweet = 0;
-    if (!reader.Read(&user) || !reader.Read(&tweet) ||
-        !reader.Read(&op.score)) {
-      return Corrupt("truncated deposits");
-    }
-    op.user = static_cast<UserId>(user);
-    op.tweet = static_cast<TweetId>(tweet);
-  }
   if (!reader.ReadCount(kConsumeBytes, &count)) {
     return Corrupt("bad consumed count");
   }
@@ -155,16 +240,58 @@ Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
     op.user = static_cast<UserId>(user);
     op.tweet = static_cast<TweetId>(tweet);
   }
-  if (!reader.ReadCount(kInvalidatedBytes, &count)) {
-    return Corrupt("bad invalidated count");
+
+  if (!reader.ReadCount(kMinDepositBytes, &count)) {
+    return Corrupt("bad deposits count");
   }
-  out->invalidated.resize(count);
-  for (UserId& user : out->invalidated) {
-    uint32_t raw = 0;
-    if (!reader.Read(&raw)) return Corrupt("truncated invalidated");
-    user = static_cast<UserId>(raw);
+  out->deposits.resize(count);
+  size_t filled = 0;
+  while (filled < count) {
+    uint32_t tweet = 0;
+    uint32_t size = 0;
+    if (!reader.Read(&tweet)) return Corrupt("truncated deposit group");
+    if (!reader.ReadVarint(&size)) return Corrupt("bad deposit group size");
+    if (size == 0) return Corrupt("empty deposit group");
+    if (size > count - filled) return Corrupt("deposit group past count");
+    uint64_t user = 0;
+    for (uint32_t i = 0; i < size; ++i) {
+      uint32_t gap = 0;
+      Deposit& op = out->deposits[filled];
+      if (!reader.ReadVarint(&gap)) return Corrupt("bad deposit user gap");
+      if (!reader.Read(&op.score)) return Corrupt("truncated deposits");
+      if (i > 0 && gap == 0) return Corrupt("zero deposit user gap");
+      user += gap;
+      if (user > UINT32_MAX) return Corrupt("deposit user past u32");
+      if (i == 0 && filled > 0 &&
+          WireTweet(out->deposits[filled - 1]) == tweet &&
+          WireUser(out->deposits[filled - 1]) < user) {
+        return Corrupt("deposit group extends the previous one");
+      }
+      op.user = static_cast<UserId>(static_cast<uint32_t>(user));
+      op.tweet = static_cast<TweetId>(tweet);
+      ++filled;
+    }
   }
   if (!reader.AtEnd()) return Corrupt("trailing bytes");
+
+  // Every user an op names, and no other, may have a changed answer.
+  std::vector<UserId>& users = out->invalidated;
+  users.reserve(out->deposits.size() + out->consumed.size());
+  users.resize(out->deposits.size());
+  for (size_t i = 0; i < users.size(); ++i) users[i] = out->deposits[i].user;
+  if (std::is_sorted(users.begin(), users.end())) {
+    // One deposit group (a single-event delta): placing its few consumed
+    // users is linear, where a full sort is not.
+    users.erase(std::unique(users.begin(), users.end()), users.end());
+    for (const Consume& op : out->consumed) {
+      const auto at = std::lower_bound(users.begin(), users.end(), op.user);
+      if (at == users.end() || *at != op.user) users.insert(at, op.user);
+    }
+  } else {
+    for (const Consume& op : out->consumed) users.push_back(op.user);
+    std::sort(users.begin(), users.end());
+    users.erase(std::unique(users.begin(), users.end()), users.end());
+  }
   return Status::Ok();
 }
 

@@ -25,10 +25,13 @@ namespace simgraph {
 ///     to them again);
 ///   * candidate deposits (propagated scores that actually raised a
 ///     stored candidate — the builder ships only changed deposits);
-///   * the invalidated-user list (exactly the users whose cached answers
-///     the covered events may have changed);
 ///   * an optional eviction watermark and an optional snapshot-refresh
 ///     marker (epoch swap) with the refreshed graph's edge count.
+///
+/// The struct also carries the invalidated-user list (exactly the users
+/// whose cached answers the covered events may have changed). It never
+/// travels: it is every user a consumed mark or deposit names, so Parse
+/// derives it.
 ///
 /// Replay is strictly in order, so replicas stay bit-identical to the
 /// builder's state. The similarity-graph edges themselves never ship:
@@ -42,7 +45,7 @@ struct SimGraphDelta {
   /// First four serialized bytes, "SGDL" read as a little-endian u32.
   static constexpr uint32_t kMagic = 0x4C444753u;
   /// Current layout version; Parse rejects anything else.
-  static constexpr uint16_t kVersion = 2;
+  static constexpr uint16_t kVersion = 3;
   /// Flag bit: the builder re-materialised its CSR snapshot while
   /// building this delta; appliers must swap epochs after replaying the
   /// candidate ops.
@@ -83,7 +86,9 @@ struct SimGraphDelta {
   std::vector<Deposit> deposits;
   std::vector<Consume> consumed;
   /// Sorted, deduplicated users whose cached recommendations the covered
-  /// events may have changed (drives precise cache invalidation).
+  /// events may have changed (drives precise cache invalidation): the
+  /// users of `consumed` and `deposits`. Not serialized; Parse rebuilds
+  /// it from the ops.
   std::vector<UserId> invalidated;
 
   /// Never set, read or serialized by this library. It is kept declared
@@ -96,7 +101,7 @@ struct SimGraphDelta {
     return seq_begin == 0 ? 0
                           : static_cast<int64_t>(seq_end - seq_begin) + 1;
   }
-  /// Always 0: SGDL v2 ships no similarity-graph edge ops. Kept for the
+  /// Always 0: SGDL ships no similarity-graph edge ops. Kept for the
   /// benchmark harness, which reports it per event.
   int64_t num_edge_ops() const { return 0; }
 
@@ -111,9 +116,12 @@ struct SimGraphDelta {
   void SerializeTo(std::string* out) const;
 
   /// Parses a buffer produced by SerializeTo. Rejects wrong magic,
-  /// unknown version or flags, truncated sections, and trailing bytes.
-  /// `out` is cleared first. Tweet ids are widened from their u32
-  /// encoding.
+  /// unknown version or flags, truncated sections, and every encoding
+  /// SerializeTo would not have written (empty or mergeable deposit
+  /// groups, zero user gaps, non-minimal or oversized varints), so an
+  /// accepted buffer reserializes to exactly its own bytes. `out` is
+  /// cleared first. Tweet ids are widened from their u32 encoding, and
+  /// `invalidated` is derived from the parsed ops.
   static Status Parse(std::string_view bytes, SimGraphDelta* out);
 
   /// Checks every id an applier indexes by — deposit and consumed users

@@ -67,8 +67,9 @@ AffectedUsers DeltaApplierRecommender::ApplyDelta(const SimGraphDelta& delta) {
     if (shard_apply_us_ != nullptr) shard_apply_us_->Record(us);
   }
 
-  // The builder already computed exactly whose cached answers the
-  // covered events may have changed.
+  // Exactly whose cached answers the covered events may have changed:
+  // the builder's own list in process, the same list rebuilt by Parse
+  // from the ops on a remote replica.
   AffectedUsers affected;
   affected.users = delta.invalidated;
   return affected;

@@ -32,6 +32,7 @@ Status ReplicationClient::Connect(uint64_t applied_seq,
 
   ReplicaHello hello;
   hello.applied_seq = applied_seq;
+  hello.dataset_fingerprint = options_.dataset_fingerprint;
   hello.name = options_.name;
   std::string payload;
   hello.SerializeTo(&payload);

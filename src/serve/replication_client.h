@@ -20,6 +20,9 @@ struct ReplicationClientOptions {
   uint16_t port = 0;
   /// Replica name carried in HELLO (logs and metrics on the builder).
   std::string name = "replica";
+  /// TrainingFingerprint of the dataset this replica trains from,
+  /// carried in HELLO; the builder rejects a mismatch. 0 declares none.
+  uint64_t dataset_fingerprint = 0;
   /// ECONNREFUSED retry budget (a builder mid-startup).
   int64_t connect_timeout_ms = 10000;
   /// Receive deadline covering the handshake read (HELLO_ACK): a peer

@@ -65,10 +65,12 @@ void ReplicationFanout::Stop() {
   listen_fd_ = -1;
 }
 
-void ReplicationFanout::SeedGraphStats(uint64_t epoch, int64_t edges) {
+void ReplicationFanout::SeedHandshake(uint64_t epoch, int64_t edges,
+                                      uint64_t dataset_fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
   seed_graph_epoch_ = epoch;
   seed_graph_edges_ = edges;
+  dataset_fingerprint_ = dataset_fingerprint;
 }
 
 void ReplicationFanout::ShipDelta(const SimGraphDelta& delta) {
@@ -250,6 +252,21 @@ void ReplicationFanout::RunSession(int fd) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_.load()) {
+      ::close(fd);
+      return;
+    }
+    if (hello.dataset_fingerprint != 0 && dataset_fingerprint_ != 0 &&
+        hello.dataset_fingerprint != dataset_fingerprint_) {
+      // Deltas replayed over another dataset's training state would
+      // pass every id check and still answer wrongly.
+      SIMGRAPH_COUNTER_ADD("serve.replication.handshake_rejects", 1);
+      std::ostringstream msg;
+      msg << "dataset mismatch: replica fingerprint " << std::hex
+          << hello.dataset_fingerprint << ", builder fingerprint "
+          << dataset_fingerprint_
+          << "; start the replica with the builder's dataset and train "
+             "fraction";
+      WriteReplicationFrame(fd, ReplicationFrameType::kError, msg.str());
       ::close(fd);
       return;
     }

@@ -53,8 +53,9 @@ struct ReplicationFanoutOptions {
 /// (builder thread), folds MinAckedSeq into AppliedSeq/Stats, and
 /// extends WaitForApplied with WaitForAcked. Replicas connect inbound,
 /// so late joiners need nothing but the port (and their own copy of the
-/// dataset to train from): the handshake replays the retained delta
-/// backlog past their applied_seq.
+/// dataset to train from, which the handshake checks by fingerprint):
+/// the handshake replays the retained delta backlog past their
+/// applied_seq.
 ///
 /// Threading: one acceptor, plus one sender and one ack-reader thread
 /// per replica session. ShipDelta serialises once and enqueues the same
@@ -75,9 +76,12 @@ class ReplicationFanout {
   /// Bound listen port (after Start).
   uint16_t port() const { return port_; }
 
-  /// Seeds the graph stats handed to replicas at handshake (call after
-  /// the builder source trained, before serving).
-  void SeedGraphStats(uint64_t epoch, int64_t edges);
+  /// Seeds what the handshake hands to and checks against replicas: the
+  /// builder's post-train graph stats and the TrainingFingerprint of its
+  /// dataset (call after the builder source trained, before serving). A
+  /// HELLO that declares a different fingerprint is rejected.
+  void SeedHandshake(uint64_t epoch, int64_t edges,
+                     uint64_t dataset_fingerprint);
 
   /// Builder-thread tap: serialize, append to the retained log, enqueue
   /// on every live replica, and apply the lag cutoff.
@@ -173,6 +177,7 @@ class ReplicationFanout {
   uint64_t trimmed_through_seq_ = 0;
   uint64_t seed_graph_epoch_ = 0;
   int64_t seed_graph_edges_ = 0;
+  uint64_t dataset_fingerprint_ = 0;  // 0: not seeded, nothing checked
   int64_t degraded_total_ = 0;
 
   mutable std::mutex sessions_mu_;

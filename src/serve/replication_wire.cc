@@ -1,7 +1,9 @@
 #include "serve/replication_wire.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "dataset/dataset.h"
 #include "util/net.h"
 
 namespace simgraph {
@@ -65,10 +67,34 @@ bool ValidFrameType(uint8_t type) {
 
 }  // namespace
 
+uint64_t TrainingFingerprint(const Dataset& dataset, int64_t train_end) {
+  // FNV-1a over 64-bit words, each pre-mixed so that small ids spread
+  // over the whole word.
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto add = [&hash](uint64_t word) {
+    word ^= word >> 33;
+    word *= 0xff51afd7ed558ccdull;
+    word ^= word >> 33;
+    hash = (hash ^ word) * 0x100000001b3ull;
+  };
+  add(static_cast<uint64_t>(dataset.num_users()));
+  add(static_cast<uint64_t>(dataset.num_tweets()));
+  add(static_cast<uint64_t>(train_end));
+  const int64_t end = std::min(train_end, dataset.num_retweets());
+  for (int64_t i = 0; i < end; ++i) {
+    const RetweetEvent& e = dataset.retweets[static_cast<size_t>(i)];
+    add(static_cast<uint64_t>(e.tweet));
+    add(static_cast<uint64_t>(e.user));
+    add(static_cast<uint64_t>(e.time));
+  }
+  return hash == 0 ? 1 : hash;
+}
+
 void ReplicaHello::SerializeTo(std::string* out) const {
   AppendRaw<uint32_t>(out, kReplicationMagic);
   AppendRaw<uint16_t>(out, version);
   AppendRaw<uint64_t>(out, applied_seq);
+  AppendRaw<uint64_t>(out, dataset_fingerprint);
   AppendRaw<uint64_t>(out, name.size());
   out->append(name);
 }
@@ -86,6 +112,7 @@ Status ReplicaHello::Parse(std::string_view bytes, ReplicaHello* out) {
     return Corrupt("unsupported hello version");
   }
   if (!reader.Read(&out->applied_seq) ||
+      !reader.Read(&out->dataset_fingerprint) ||
       !reader.ReadString(kMaxReplicaNameBytes, &out->name) ||
       !reader.AtEnd()) {
     return Corrupt("hello malformed");

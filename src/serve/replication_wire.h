@@ -8,6 +8,9 @@
 #include "util/status.h"
 
 namespace simgraph {
+
+struct Dataset;
+
 namespace serve {
 
 /// SGRP — the replication session protocol between the delta builder
@@ -40,13 +43,21 @@ enum class ReplicationFrameType : uint8_t {
 /// vet that the peer actually speaks this protocol (a port scanner or a
 /// misdirected NDJSON client fails here, not deep in delta parsing).
 inline constexpr uint32_t kReplicationMagic = 0x50524753;
-inline constexpr uint16_t kReplicationVersion = 2;
+inline constexpr uint16_t kReplicationVersion = 3;
 
 /// Hard per-frame cap. DELTA frames are the largest, and a delta of
 /// any batch this repo builds is orders of magnitude below 1 GiB. A
 /// hostile length prefix past this fails the session before any
 /// allocation happens.
 inline constexpr uint64_t kMaxReplicationFrameBytes = 1ull << 30;
+
+/// Fingerprint of the state a replica trains from: the population, the
+/// tweet catalogue size and the training retweets [0, train_end). A
+/// replica sends it in HELLO and the builder rejects one whose value
+/// differs from its own, because replaying deltas over another
+/// dataset's training state gives wrong answers without any error.
+/// Never 0, which HELLO reserves for "not declared".
+uint64_t TrainingFingerprint(const Dataset& dataset, int64_t train_end);
 
 /// HELLO payload: who the replica is and where it stands. applied_seq
 /// is the last event sequence the replica has applied (0 for a cold
@@ -55,6 +66,10 @@ inline constexpr uint64_t kMaxReplicationFrameBytes = 1ull << 30;
 struct ReplicaHello {
   uint16_t version = kReplicationVersion;
   uint64_t applied_seq = 0;
+  /// TrainingFingerprint of the replica's dataset; 0 declares none and
+  /// skips the builder's check (an in-process replica trained from the
+  /// builder's own Dataset).
+  uint64_t dataset_fingerprint = 0;
   std::string name;  // for logs/metrics; bounded at parse time
 
   void SerializeTo(std::string* out) const;

@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "serve/replication_wire.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -90,7 +91,8 @@ Status ShardedService::Train(const Dataset& dataset, int64_t train_end) {
     applier->SeedRemoteGraphStats(epoch, edges);
   }
   if (options_.replication != nullptr) {
-    options_.replication->SeedGraphStats(epoch, edges);
+    options_.replication->SeedHandshake(
+        epoch, edges, TrainingFingerprint(dataset, train_end));
   }
   return Status::Ok();
 }

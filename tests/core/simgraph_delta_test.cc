@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace simgraph {
 namespace {
@@ -17,10 +19,50 @@ SimGraphDelta MakeSample() {
   delta.snapshot_epoch = 3;
   delta.flags = SimGraphDelta::kFlagSnapshotRefresh;
   delta.evict_before = 123456789;
-  delta.deposits = {{5, 100, 0.5}, {6, 101, 0.75}, {7, 100, 0.0625}};
+  // Four deposit groups: users 5, 6, 300 on tweet 100 (gaps 5, 1, 294;
+  // the last needs a two-byte varint); user 2 on tweet 100 again, which
+  // must start a new group because the user falls; then tweet 101, and
+  // tweet 100 once more.
+  delta.deposits = {{5, 100, 0.5},   {6, 100, 0.75},  {300, 100, 0.125},
+                    {2, 100, 0.25},  {7, 101, 0.0625}, {9, 100, 1.5}};
   delta.consumed = {{5, 100}, {8, 102}};
-  delta.invalidated = {1, 2, 5, 6, 7};
+  // What the builder records: every user an op names.
+  delta.invalidated = {2, 5, 6, 7, 8, 9, 300};
   return delta;
+}
+
+void AppendU32(std::string* out, uint32_t value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+void AppendU64(std::string* out, uint64_t value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// One deposit group's bytes: tweet, the raw varint `size`, then each
+/// (raw varint gap, score) entry.
+std::string Group(uint32_t tweet, const std::string& size,
+                  const std::vector<std::pair<std::string, double>>& entries) {
+  std::string out;
+  AppendU32(&out, tweet);
+  out += size;
+  for (const auto& [gap, score] : entries) {
+    out += gap;
+    out.append(reinterpret_cast<const char*>(&score), sizeof(score));
+  }
+  return out;
+}
+
+/// A v3 delta with no consumed marks, `count` in the deposit count and
+/// `groups` as the deposit section.
+std::string Encode(uint64_t count, const std::string& groups) {
+  SimGraphDelta empty;
+  empty.seq_begin = 1;
+  empty.seq_end = 1;
+  std::string wire;
+  empty.SerializeTo(&wire);
+  wire.resize(wire.size() - 8);  // an empty delta ends in its deposit count
+  AppendU64(&wire, count);
+  return wire + groups;
 }
 
 TEST(SimGraphDeltaTest, RoundTripPreservesEveryWireField) {
@@ -47,6 +89,7 @@ TEST(SimGraphDeltaTest, RoundTripPreservesEveryWireField) {
   ASSERT_EQ(parsed.consumed.size(), delta.consumed.size());
   EXPECT_EQ(parsed.consumed[1].user, 8);
   EXPECT_EQ(parsed.consumed[1].tweet, 102);
+  // Not on the wire: derived from the ops.
   EXPECT_EQ(parsed.invalidated, delta.invalidated);
   EXPECT_EQ(parsed.num_events(), 3u);
   EXPECT_EQ(parsed.num_edge_ops(), 0);
@@ -60,8 +103,9 @@ TEST(SimGraphDeltaTest, TweetIdsTravelAsU32) {
   delta.consumed = {{2, 0xFFFFFFFEll}};
   std::string wire;
   delta.SerializeTo(&wire);
-  // Header, three counts, one 16-byte deposit and one 8-byte mark.
-  EXPECT_EQ(wire.size(), static_cast<size_t>(48 + 3 * 8 + 16 + 8));
+  // Header, two counts, one 8-byte mark, and a one-deposit group:
+  // tweet, size varint, gap varint (one byte for user 1) and score.
+  EXPECT_EQ(wire.size(), static_cast<size_t>(48 + 2 * 8 + 8 + 4 + 1 + 1 + 8));
 
   SimGraphDelta parsed;
   ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
@@ -113,9 +157,16 @@ TEST(SimGraphDeltaTest, ParseRejectsCorruptInput) {
   bad[4] = static_cast<char>(0x7f);
   EXPECT_FALSE(SimGraphDelta::Parse(bad, &parsed).ok());
 
+  // A version-2 buffer: v2 carried flat 16-byte deposits and an
+  // invalidated section, so its bytes must never be read as v3.
+  bad = wire;
+  bad[4] = 2;
+  bad[5] = 0;
+  EXPECT_FALSE(SimGraphDelta::Parse(bad, &parsed).ok());
+
   // A version-1 buffer: v1 carried two edge-op sections and 8-byte
-  // tweet ids, so its bytes must never be read as v2. An empty v1 delta
-  // is the 48-byte header followed by five zero section counts.
+  // tweet ids. An empty v1 delta is the 48-byte header followed by five
+  // zero section counts.
   bad = wire;
   bad[4] = 1;
   bad[5] = 0;
@@ -162,6 +213,79 @@ TEST(SimGraphDeltaTest, ParseRejectsCorruptInput) {
   EXPECT_FALSE(SimGraphDelta::Parse(bad, &parsed).ok());
 }
 
+// The hand-built encodings below differ from a canonical one in a single
+// respect each; Parse accepts the canonical ones and rejects every other,
+// so SerializeTo(Parse(b)) == b for every buffer it accepts.
+TEST(SimGraphDeltaTest, ParseRejectsNonCanonicalDepositGroups) {
+  using namespace std::string_literals;  // keeps embedded NUL bytes
+  const auto accepts = [](const std::string& wire) {
+    SimGraphDelta parsed;
+    if (!SimGraphDelta::Parse(wire, &parsed).ok()) return false;
+    std::string reserialized;
+    parsed.SerializeTo(&reserialized);
+    EXPECT_EQ(reserialized, wire);
+    return true;
+  };
+  // Raw varints.
+  const std::string zero = "\x00"s;
+  const std::string one = "\x01"s;
+  const std::string two = "\x02"s;
+  const std::string three = "\x03"s;
+  const std::string five = "\x05"s;
+  const std::string u32_max = "\xff\xff\xff\xff\x0f"s;
+
+  // Canonical: users 3 and 4 on tweet 9 in one group.
+  const std::string users_3_4 =
+      Encode(2, Group(9, two, {{three, 0.5}, {one, 0.25}}));
+  EXPECT_TRUE(accepts(users_3_4));
+  SimGraphDelta parsed;
+  ASSERT_TRUE(SimGraphDelta::Parse(users_3_4, &parsed).ok());
+  ASSERT_EQ(parsed.deposits.size(), 2u);
+  EXPECT_EQ(parsed.deposits[1].user, 4);
+  EXPECT_EQ(parsed.deposits[1].tweet, 9);
+  EXPECT_EQ(parsed.invalidated, (std::vector<UserId>{3, 4}));
+  // Canonical: the same tweet again, after a user that does not increase
+  // (3 then 3) or under another tweet in between.
+  EXPECT_TRUE(accepts(Encode(
+      2, Group(9, one, {{three, 0.5}}) + Group(9, one, {{three, 0.5}}))));
+  EXPECT_TRUE(accepts(Encode(3, Group(9, one, {{three, 0.5}}) +
+                                    Group(8, one, {{"\x04"s, 0.5}}) +
+                                    Group(9, one, {{five, 0.5}}))));
+  // The largest u32 user, absolute in a group's first gap.
+  EXPECT_TRUE(accepts(Encode(1, Group(9, one, {{u32_max, 0.5}}))));
+
+  // An empty group.
+  EXPECT_FALSE(accepts(
+      Encode(1, Group(9, zero, {}) + Group(9, one, {{three, 0.5}}))));
+  // A group that could have extended the previous one (user 3, then 5
+  // on the same tweet).
+  EXPECT_FALSE(accepts(Encode(
+      2, Group(9, one, {{three, 0.5}}) + Group(9, one, {{five, 0.5}}))));
+  // A zero gap inside a group (user 3 twice).
+  EXPECT_FALSE(
+      accepts(Encode(2, Group(9, two, {{three, 0.5}, {zero, 0.5}}))));
+  // Non-minimal varints: a gap of 3 and a group size of 1 in two bytes.
+  EXPECT_FALSE(accepts(Encode(1, Group(9, one, {{"\x83\x00"s, 0.5}}))));
+  EXPECT_FALSE(accepts(Encode(1, Group(9, "\x81\x00"s, {{three, 0.5}}))));
+  // Varints past u32: 2^32 in five bytes, a six-byte varint, and a
+  // group size of 2^32 + 1.
+  EXPECT_FALSE(
+      accepts(Encode(1, Group(9, one, {{"\x80\x80\x80\x80\x10"s, 0.5}}))));
+  EXPECT_FALSE(accepts(
+      Encode(1, Group(9, one, {{"\x80\x80\x80\x80\x80\x01"s, 0.5}}))));
+  EXPECT_FALSE(accepts(
+      Encode(1, Group(9, "\x81\x80\x80\x80\x10"s, {{three, 0.5}}))));
+  // Gaps that sum past u32.
+  EXPECT_FALSE(
+      accepts(Encode(2, Group(9, two, {{u32_max, 0.5}, {one, 0.5}}))));
+  // Groups that disagree with the deposit count, either way.
+  EXPECT_FALSE(
+      accepts(Encode(1, Group(9, two, {{three, 0.5}, {one, 0.5}}))));
+  EXPECT_FALSE(accepts(Encode(2, Group(9, one, {{three, 0.5}}))));
+  EXPECT_FALSE(accepts(Encode(
+      1, Group(9, one, {{three, 0.5}}) + Group(8, one, {{three, 0.5}}))));
+}
+
 // Hostile input: every single-byte corruption of a valid buffer either
 // fails to parse or parses into a delta that serializes back to exactly
 // the corrupted bytes — Parse never accepts bytes it cannot represent,
@@ -198,26 +322,26 @@ TEST(SimGraphDeltaTest, SingleByteMutationsParseExactlyOrFail) {
 }
 
 TEST(SimGraphDeltaTest, ValidateIdsRejectsEveryOutOfRangeId) {
-  // MakeSample's largest user is 8 and largest tweet 102.
-  EXPECT_TRUE(MakeSample().ValidateIds(9, 103).ok());
-  EXPECT_FALSE(MakeSample().ValidateIds(8, 103).ok());
-  EXPECT_FALSE(MakeSample().ValidateIds(9, 102).ok());
+  // MakeSample's largest user is 300 and largest tweet 102.
+  EXPECT_TRUE(MakeSample().ValidateIds(301, 103).ok());
+  EXPECT_FALSE(MakeSample().ValidateIds(300, 103).ok());
+  EXPECT_FALSE(MakeSample().ValidateIds(301, 102).ok());
 
   SimGraphDelta bad = MakeSample();
-  bad.deposits.push_back({9, 100, 0.5});
-  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  bad.deposits.push_back({301, 100, 0.5});
+  EXPECT_EQ(bad.ValidateIds(301, 103).code(), StatusCode::kInvalidArgument);
   bad = MakeSample();
   bad.deposits.push_back({5, -1, 0.5});
-  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.ValidateIds(301, 103).code(), StatusCode::kInvalidArgument);
   bad = MakeSample();
   bad.consumed.push_back({-1, 100});
-  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.ValidateIds(301, 103).code(), StatusCode::kInvalidArgument);
   bad = MakeSample();
   bad.consumed.push_back({5, 103});
-  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.ValidateIds(301, 103).code(), StatusCode::kInvalidArgument);
   bad = MakeSample();
-  bad.invalidated.push_back(9);
-  EXPECT_EQ(bad.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  bad.invalidated.push_back(301);
+  EXPECT_EQ(bad.ValidateIds(301, 103).code(), StatusCode::kInvalidArgument);
   // A u32 tweet id off the wire can still exceed the catalogue.
   bad = MakeSample();
   bad.deposits.push_back({5, 0xFFFFFFFFll, 0.5});
@@ -225,7 +349,7 @@ TEST(SimGraphDeltaTest, ValidateIdsRejectsEveryOutOfRangeId) {
   bad.SerializeTo(&wire);
   SimGraphDelta parsed;
   ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
-  EXPECT_EQ(parsed.ValidateIds(9, 103).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parsed.ValidateIds(301, 103).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

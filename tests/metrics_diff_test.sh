@@ -152,6 +152,52 @@ sed 's/"value": 20.0,/"value": 200.0,/' "$TMP/declared.json" \
   > "$TMP/undeclared.json"
 "$DIFF" "$TMP/declared.json" "$TMP/undeclared.json" --threshold=0
 
+echo "== --slack: a near-zero tail may grow by the slack, not past it =="
+cat > "$TMP/lag.json" <<'EOF2'
+{"read_hot": {"gen.lag_ms.p99": {"value": 0.07, "unit": "ms", "better": "lower"}}}
+EOF2
+sed 's/"value": 0.07,/"value": 4.9,/' "$TMP/lag.json" > "$TMP/lag_ok.json"
+sed 's/"value": 0.07,/"value": 5.2,/' "$TMP/lag.json" > "$TMP/lag_bad.json"
+if "$DIFF" "$TMP/lag.json" "$TMP/lag_ok.json" --threshold=lag_ms.p99:20 \
+    2>/dev/null; then
+  echo "70x lag tail passed a 20x ratio without slack" >&2
+  exit 1
+fi
+"$DIFF" "$TMP/lag.json" "$TMP/lag_ok.json" --threshold=lag_ms.p99:20 \
+    --slack=lag_ms.p99:5
+if "$DIFF" "$TMP/lag.json" "$TMP/lag_bad.json" --threshold=lag_ms.p99:20 \
+    --slack=lag_ms.p99:5 2>/dev/null; then
+  echo "lag tail past the slack passed" >&2
+  exit 1
+fi
+
+echo "== ... and the ratio still binds where it is the looser bound =="
+sed 's/"p99": 900.0/"p99": 1080.0/' "$TMP/base.json" > "$TMP/lat_slack.json"
+"$DIFF" "$TMP/base.json" "$TMP/lat_slack.json" --threshold=0.25 \
+    --slack=p99:5
+if "$DIFF" "$TMP/base.json" "$TMP/lat_slack.json" --slack=p99:5 \
+    2>/dev/null; then
+  echo "a 180 us move passed a 5 us slack" >&2
+  exit 1
+fi
+
+echo "== a malformed --slack is a usage error =="
+set +e
+"$DIFF" "$TMP/base.json" "$TMP/base.json" --slack=5 2>/dev/null
+RC=$?
+set -e
+[ "$RC" = "2" ] || { echo "expected exit 2 for --slack=5, got $RC" >&2; exit 1; }
+
+echo "== sizes in megabytes (*_mb) are lower-is-better =="
+echo '{"remote": {"wire_mb": 50.0}}' > "$TMP/mb.json"
+echo '{"remote": {"wire_mb": 100.0}}' > "$TMP/mb_big.json"
+"$DIFF" "$TMP/mb_big.json" "$TMP/mb.json" --threshold=0
+if "$DIFF" "$TMP/mb.json" "$TMP/mb_big.json" --threshold=0.75 2>/dev/null
+then
+  echo "doubled wire_mb passed a 0.75 threshold" >&2
+  exit 1
+fi
+
 echo "== parse errors exit 2 =="
 echo "not json" > "$TMP/broken.json"
 set +e

@@ -237,6 +237,65 @@ TEST_F(DeltaEquivalenceTest, WireFedReplicaMatchesInProcessShards) {
   }
 }
 
+// SGDL starts a new deposit group wherever the tweet changes or the
+// user does not increase, so two events that deposit one tweet back to
+// back in one batch ship as two adjacent groups on that tweet. Replay
+// them from serialized bytes: the replica must still match the
+// in-process shards bit for bit.
+TEST_F(DeltaEquivalenceTest,
+       WireFedReplicaMatchesShardsWhenOneTweetIsDepositedByConsecutiveEvents) {
+  // The test stream, with each tweet's retweets made adjacent.
+  std::vector<RetweetEvent> stream;
+  for (int64_t i = 0; i < num_test_; ++i) stream.push_back(TestEvent(i));
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const RetweetEvent& a, const RetweetEvent& b) {
+                     return a.tweet < b.tweet;
+                   });
+
+  auto replica = std::make_unique<DeltaApplierRecommender>();
+  DeltaApplierRecommender* replica_ptr = replica.get();
+  bool split_tweet_shipped = false;  // builder thread only
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.shard_options.cache_ttl = 0;
+  options.delta_observer = [replica_ptr, &split_tweet_shipped](
+                               const SimGraphDelta& delta) {
+    for (size_t i = 1; i < delta.deposits.size(); ++i) {
+      if (delta.deposits[i].tweet == delta.deposits[i - 1].tweet &&
+          delta.deposits[i].user <= delta.deposits[i - 1].user) {
+        split_tweet_shipped = true;
+      }
+    }
+    std::string wire;
+    delta.SerializeTo(&wire);
+    SimGraphDelta parsed;
+    ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
+    replica_ptr->ApplyDelta(parsed);
+  };
+  ShardedService service(ServingSimGraphOptions{}, options);
+  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
+  ASSERT_TRUE(replica->Train(dataset_, protocol_.train_end).ok());
+  service.Start();
+  // Queue the stream behind a stopped builder so it drains in full
+  // batches.
+  service.CrashBuilderForTest();
+  uint64_t seq = 0;
+  for (const RetweetEvent& event : stream) seq = service.Publish(event);
+  service.RecoverBuilderForTest();
+  service.WaitForApplied(seq);
+  service.Stop();  // joins the builder: the replica is quiescent now
+  EXPECT_TRUE(split_tweet_shipped);
+  EXPECT_EQ(replica->applied_delta_seq(), seq);
+
+  const Timestamp now = dataset_.retweets.back().time;
+  for (const UserId user : sample_) {
+    const RecommendResponse served = service.Recommend({user, now, 10});
+    ASSERT_TRUE(served.status.ok());
+    ExpectBitIdentical(replica->Recommend(user, now, 10), served.tweets,
+                       user);
+  }
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace simgraph

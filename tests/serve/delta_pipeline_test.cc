@@ -153,6 +153,61 @@ TEST_F(DeltaPipelineTest, CrashedBuilderRecoversWithoutLosingEvents) {
   service.Stop();
 }
 
+// SGDL carries no invalidated list and groups deposits by tweet, so pin
+// the codec against the builder's own deltas: for every delta of the
+// test stream, built one event at a time and in full batches, the wire
+// round trip gives back the deposits and consumed marks exactly, in
+// order, and derives the very invalidated list the builder recorded.
+TEST_F(DeltaPipelineTest, WireRoundTripIsExactForRecordedStreams) {
+  const int64_t full_batch = ShardedServiceOptions{}.max_batch_events;
+  for (const int64_t batch : {int64_t{1}, full_batch}) {
+    SCOPED_TRACE("max_batch_events " + std::to_string(batch));
+    std::vector<SimGraphDelta> recorded;  // builder thread only
+    ShardedServiceOptions options;
+    options.num_shards = 2;
+    options.max_batch_events = batch;
+    options.delta_observer = [&recorded](const SimGraphDelta& delta) {
+      recorded.push_back(delta);
+    };
+    ShardedService service(ServingSimGraphOptions{}, options);
+    ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
+    service.Start();
+    // Queue the whole stream behind a stopped builder so that it drains
+    // it in full batches once it resumes.
+    service.CrashBuilderForTest();
+    for (int64_t i = 0; i < num_test_; ++i) service.Publish(TestEvent(i));
+    service.RecoverBuilderForTest();
+    service.Stop();
+
+    ASSERT_FALSE(recorded.empty());
+    int64_t max_events = 0;
+    for (const SimGraphDelta& delta : recorded) {
+      max_events = std::max(max_events, delta.num_events());
+      std::string wire;
+      delta.SerializeTo(&wire);
+      ASSERT_EQ(static_cast<int64_t>(wire.size()), delta.ByteSize());
+      SimGraphDelta parsed;
+      ASSERT_TRUE(SimGraphDelta::Parse(wire, &parsed).ok());
+      ASSERT_EQ(parsed.deposits.size(), delta.deposits.size());
+      for (size_t i = 0; i < delta.deposits.size(); ++i) {
+        ASSERT_EQ(parsed.deposits[i].user, delta.deposits[i].user) << i;
+        ASSERT_EQ(parsed.deposits[i].tweet, delta.deposits[i].tweet) << i;
+        ASSERT_EQ(parsed.deposits[i].score, delta.deposits[i].score) << i;
+      }
+      ASSERT_EQ(parsed.consumed.size(), delta.consumed.size());
+      for (size_t i = 0; i < delta.consumed.size(); ++i) {
+        ASSERT_EQ(parsed.consumed[i].user, delta.consumed[i].user) << i;
+        ASSERT_EQ(parsed.consumed[i].tweet, delta.consumed[i].tweet) << i;
+      }
+      ASSERT_EQ(parsed.invalidated, delta.invalidated);
+      std::string reserialized;
+      parsed.SerializeTo(&reserialized);
+      ASSERT_EQ(reserialized, wire);
+    }
+    EXPECT_EQ(max_events, batch);
+  }
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace simgraph

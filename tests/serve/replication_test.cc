@@ -117,6 +117,7 @@ TEST_F(ReplicationWireTest, RejectsRetiredSnapshotFrameType) {
 TEST(ReplicationHandshakeCodecTest, HelloRoundTrip) {
   ReplicaHello hello;
   hello.applied_seq = 12345;
+  hello.dataset_fingerprint = 0x0123456789abcdefull;
   hello.name = "replica-7";
   std::string bytes;
   hello.SerializeTo(&bytes);
@@ -124,6 +125,7 @@ TEST(ReplicationHandshakeCodecTest, HelloRoundTrip) {
   ASSERT_TRUE(ReplicaHello::Parse(bytes, &parsed).ok());
   EXPECT_EQ(parsed.version, kReplicationVersion);
   EXPECT_EQ(parsed.applied_seq, 12345u);
+  EXPECT_EQ(parsed.dataset_fingerprint, 0x0123456789abcdefull);
   EXPECT_EQ(parsed.name, "replica-7");
 }
 
@@ -203,6 +205,27 @@ TEST(ReplicationHandshakeCodecTest, RejectsV1Hello) {
       << status.ToString();
 }
 
+// A v2 HELLO (no dataset fingerprint) is turned away on its version
+// word, so a replica that cannot prove its dataset never joins.
+TEST(ReplicationHandshakeCodecTest, RejectsV2Hello) {
+  ReplicaHello hello;
+  hello.version = 2;
+  hello.name = "old-replica";
+  std::string current;
+  hello.SerializeTo(&current);
+  // The v2 layout: the same bytes without the fingerprint word, which
+  // follows magic, version and applied_seq.
+  const size_t fingerprint_at = 4 + 2 + 8;
+  std::string v2 = current.substr(0, fingerprint_at) +
+                   current.substr(fingerprint_at + 8);
+  ReplicaHello parsed;
+  const Status status = ReplicaHello::Parse(v2, &parsed);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unsupported hello version"),
+            std::string::npos)
+      << status.ToString();
+}
+
 // Every byte of a serialized HELLO, HELLO_ACK and ACK payload, XORed
 // with 8 seeded nonzero masks: the decoder either rejects the payload
 // or accepts exactly what it would itself have written, so no mutated
@@ -232,6 +255,7 @@ TEST(ReplicationHandshakeCodecTest, SingleByteMutationsParseExactlyOrFail) {
 
   ReplicaHello hello;
   hello.applied_seq = 4096;
+  hello.dataset_fingerprint = 0x5eed5eed5eed5eedull;
   hello.name = "fuzzed";
   std::string wire;
   hello.SerializeTo(&wire);
@@ -329,6 +353,8 @@ class ReplicationTest : public ::testing::Test {
     ReplicationClientOptions client_options;
     client_options.port = port;
     client_options.name = name;
+    client_options.dataset_fingerprint =
+        TrainingFingerprint(dataset_, protocol_.train_end);
     remote->client =
         std::make_unique<ReplicationClient>(client_options);
     ASSERT_TRUE(
@@ -749,6 +775,61 @@ TEST_F(ReplicationTest, TrimmedLogColdJoinRejectionIsHonest) {
   EXPECT_EQ(status.message().find("snapshot"), std::string::npos)
       << status.ToString();
 
+  service.Stop();
+  fanout.Stop();
+}
+
+// A replica trained on another dataset of the same sizes (the generator
+// at seed 1 against a builder at seed 60809) would pass every id check
+// and answer from the wrong training state. Its training fingerprint
+// gives it away: the builder rejects it in the handshake, before it
+// trains, and still admits a replica of the right dataset.
+TEST_F(ReplicationTest, MismatchedDatasetIsRejectedAtHandshake) {
+  DatasetConfig config = TinyConfig();
+  config.seed = 1;
+  const Dataset other = GenerateDataset(config);
+  ASSERT_EQ(other.num_users(), dataset_.num_users());
+  ASSERT_EQ(other.num_tweets(), dataset_.num_tweets());
+  const int64_t other_train_end =
+      MakeProtocol(other, ProtocolOptions{}).train_end;
+  ASSERT_NE(TrainingFingerprint(other, other_train_end),
+            TrainingFingerprint(dataset_, protocol_.train_end));
+
+  metrics::SetEnabled(true);
+  metrics::Registry::Global().Reset();
+  ReplicationFanout fanout;
+  ASSERT_TRUE(fanout.Start().ok());
+  ShardedServiceOptions options;
+  options.num_shards = 1;
+  options.shard_options.cache_ttl = 0;
+  options.replication = &fanout;
+  ShardedService service(ServingSimGraphOptions{}, options);
+  ASSERT_TRUE(service.Train(dataset_, protocol_.train_end).ok());
+  service.Start();
+
+  ReplicationClientOptions client_options;
+  client_options.port = fanout.port();
+  client_options.name = "wrong-dataset";
+  client_options.dataset_fingerprint =
+      TrainingFingerprint(other, other_train_end);
+  ReplicationClient client(client_options);
+  ReplicationBootstrap bootstrap;
+  const Status status = client.Connect(/*applied_seq=*/0, &bootstrap);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("dataset mismatch"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(fanout.num_live(), 0);
+  EXPECT_EQ(metrics::Registry::Global()
+                .counter("serve.replication.handshake_rejects")
+                .value(),
+            1);
+  metrics::SetEnabled(false);
+
+  RemoteReplica remote;
+  StartRemote(fanout.port(), &remote, "right-dataset");
+  EXPECT_TRUE(fanout.WaitForReplicas(1, std::chrono::milliseconds(5000)));
+
+  remote.Shutdown();
   service.Stop();
   fanout.Stop();
 }

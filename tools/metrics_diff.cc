@@ -2,6 +2,7 @@
 //
 //   metrics_diff BASELINE.json CANDIDATE.json [--threshold=0.10]
 //                [--threshold=METRIC_SUBSTR:0.05 ...]
+//                [--slack=METRIC_SUBSTR:ABS ...]
 //                [--allow-new-keys] [--allow-missing-keys]
 //
 // Both files are registry snapshots (metrics::Registry::WriteJson) or
@@ -13,6 +14,14 @@
 // base/cand - 1 for higher-is-better. Past the metric's threshold it is
 // a regression, so --threshold=2.0 fails a latency that triples and a
 // throughput that falls to a third alike.
+//
+// --slack=METRIC_SUBSTR:ABS adds an absolute allowance in the metric's
+// own unit: a leaf regresses only when it is past its ratio threshold
+// AND it moved more than ABS in the bad direction. That is for tails
+// whose committed value sits near zero, where any ratio fails an
+// ordinary run: with --slack=lag_ms.p99:5 a lag tail of 0.07 ms may
+// grow to 5.07 ms before the ratio counts. The last matching slack
+// wins; metrics no slack matches get none.
 //
 // The key sets must match: every baseline key missing from the
 // candidate and every candidate key absent from the baseline is
@@ -28,7 +37,8 @@
 // takes that direction, as declared in the baseline. Otherwise the
 // direction is inferred from the metric name:
 //   * lower is better:  latency/duration quantiles and sums
-//     (.p50/.p95/.p99/.max/.mean, *seconds*, *latency*, *_us)
+//     (.p50/.p95/.p99/.max/.mean, *seconds*, *latency*, *_us), and
+//     sizes in megabytes (*_mb)
 //   * higher is better: *per_s, *throughput*, *hit_rate*, *qps*
 //   * everything else is neutral — reported informationally, never a
 //     regression (counters like requests served depend on run length).
@@ -86,26 +96,38 @@ Direction DirectionOf(const std::string& name,
       EndsWith(name, "_p50") || EndsWith(name, "_p95") ||
       EndsWith(name, "_p99");
   if (latency_like && quantile_like) return Direction::kLowerIsBetter;
+  if (EndsWith(name, "_mb")) return Direction::kLowerIsBetter;
   return Direction::kNeutral;
 }
 
-struct ThresholdRule {
+struct Rule {
   std::string substring;  // empty matches every metric
   double value;
 };
 
-double ThresholdFor(const std::string& name,
-                    const std::vector<ThresholdRule>& rules,
-                    double fallback) {
+double RuleFor(const std::string& name, const std::vector<Rule>& rules,
+               double fallback) {
   // Last matching rule wins, so later flags override earlier ones.
-  double threshold = fallback;
-  for (const ThresholdRule& rule : rules) {
+  double value = fallback;
+  for (const Rule& rule : rules) {
     if (rule.substring.empty() ||
         name.find(rule.substring) != std::string::npos) {
-      threshold = rule.value;
+      value = rule.value;
     }
   }
-  return threshold;
+  return value;
+}
+
+/// Parses "SUBSTR:VALUE" (VALUE >= 0) into `rule`.
+bool ParseRule(const std::string& spec, Rule* rule) {
+  const size_t colon = spec.rfind(':');
+  if (colon == std::string::npos) return false;
+  rule->substring = spec.substr(0, colon);
+  const std::string value = spec.substr(colon + 1);
+  char* end = nullptr;
+  rule->value = std::strtod(value.c_str(), &end);
+  return !value.empty() && end == value.c_str() + value.size() &&
+         rule->value >= 0;
 }
 
 int Usage() {
@@ -113,6 +135,7 @@ int Usage() {
       stderr,
       "usage: metrics_diff BASELINE.json CANDIDATE.json\n"
       "       [--threshold=REL] [--threshold=METRIC_SUBSTR:REL ...]\n"
+      "       [--slack=METRIC_SUBSTR:ABS ...]\n"
       "       [--allow-new-keys] [--allow-missing-keys]\n");
   return 2;
 }
@@ -121,7 +144,8 @@ int Usage() {
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
-  std::vector<ThresholdRule> rules;
+  std::vector<Rule> rules;
+  std::vector<Rule> slacks;
   double default_threshold = 0.10;
   bool allow_new_keys = false;
   bool allow_missing_keys = false;
@@ -129,23 +153,23 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--threshold=", 0) == 0) {
       const std::string spec = arg.substr(std::strlen("--threshold="));
-      const size_t colon = spec.rfind(':');
-      char* end = nullptr;
-      if (colon == std::string::npos) {
+      if (spec.find(':') == std::string::npos) {
+        char* end = nullptr;
         default_threshold = std::strtod(spec.c_str(), &end);
         if (end != spec.c_str() + spec.size() || default_threshold < 0) {
           return Usage();
         }
       } else {
-        ThresholdRule rule;
-        rule.substring = spec.substr(0, colon);
-        const std::string value = spec.substr(colon + 1);
-        rule.value = std::strtod(value.c_str(), &end);
-        if (end != value.c_str() + value.size() || rule.value < 0) {
-          return Usage();
-        }
+        Rule rule;
+        if (!ParseRule(spec, &rule)) return Usage();
         rules.push_back(std::move(rule));
       }
+    } else if (arg.rfind("--slack=", 0) == 0) {
+      Rule rule;
+      if (!ParseRule(arg.substr(std::strlen("--slack=")), &rule)) {
+        return Usage();
+      }
+      slacks.push_back(std::move(rule));
     } else if (arg == "--allow-new-keys") {
       allow_new_keys = true;
     } else if (arg == "--allow-missing-keys") {
@@ -214,8 +238,14 @@ int main(int argc, char** argv) {
             ? rel
             : (cand > 0.0 ? base / cand - 1.0
                           : std::numeric_limits<double>::infinity());
-    const double threshold = ThresholdFor(name, rules, default_threshold);
-    if (worse > threshold) {
+    const double threshold = RuleFor(name, rules, default_threshold);
+    // How far the candidate moved in the bad direction, in the metric's
+    // own unit; a metric no --slack matches has no allowance at all.
+    const double moved =
+        direction == Direction::kLowerIsBetter ? cand - base : base - cand;
+    const double slack =
+        RuleFor(name, slacks, -std::numeric_limits<double>::infinity());
+    if (worse > threshold && moved > slack) {
       ++regressions;
       std::fprintf(stderr,
                    "REGRESSION %s: %.6g -> %.6g (%+.1f%%, %.3gx worse, "

@@ -3,7 +3,8 @@
 //
 // Connects to a builder's replication port (simgraph_served
 // --replication-port), trains its candidate state from its own copy of
-// the dataset, then consumes SGDL delta frames over the socket (the
+// the dataset and drops the dataset (nothing reads it after training),
+// then consumes SGDL delta frames over the socket (the
 // builder's retained log first), applies them through the in-process
 // DeltaApplier, and answers recommend requests over its own NDJSON
 // front-end. Replay goes through the exact PublishItem path an
@@ -15,10 +16,11 @@
 //                   [--port P]               NDJSON front-end port
 //                                            (default 0: ephemeral)
 //                   [--data DIR | --users N --tweets N --seed S]
-//                                            MUST match the builder's
-//                                            dataset flags, or replay
-//                                            diverges
 //                   [--train F]              train fraction (default 0.9)
+//                                            The dataset and F MUST match
+//                                            the builder's: the handshake
+//                                            rejects a replica whose
+//                                            training fingerprint differs
 //                   [--ttl SECONDS] [--deadline-us N]
 //                   [--metrics-json PATH]
 //
@@ -112,11 +114,13 @@ int Run(int argc, char** argv) {
   const double load_s = phase.ElapsedSeconds();
   const int64_t train_end = dataset.SplitIndex(FlagDouble(flags, "train", 0.9));
 
-  // Phase 1: handshake. A builder that rejects this replica fails it
-  // before the training cost is paid.
+  // Phase 1: handshake. A builder that rejects this replica (a different
+  // dataset, say) fails it before the training cost is paid.
   serve::ReplicationClientOptions client_options;
   client_options.port = static_cast<uint16_t>(FlagInt(flags, "connect", 0));
   client_options.name = FlagString(flags, "name", "replica");
+  client_options.dataset_fingerprint =
+      serve::TrainingFingerprint(dataset, train_end);
   serve::ReplicationClient client(client_options);
   serve::ReplicationBootstrap bootstrap;
   const Status connected = client.Connect(/*applied_seq=*/0, &bootstrap);
@@ -135,6 +139,9 @@ int Run(int argc, char** argv) {
   phase.Restart();
   const Status trained = service.Train(dataset, train_end);
   const double train_s = phase.ElapsedSeconds();
+  // Training copied everything a replica reads; from here on only
+  // deltas change its state, so give the dataset's memory back.
+  dataset = Dataset();
   if (!trained.ok()) {
     std::cerr << trained.ToString() << "\n";
     return 1;
