@@ -435,7 +435,7 @@ int RunRemoteLeg(const LoadConfig& config, int32_t num_remote,
     client_options.port = fanout.port();
     client_options.name = "bench-replica-" + std::to_string(i);
     client_options.dataset_fingerprint =
-        serve::TrainingFingerprint(dataset, protocol.train_end);
+        TrainingFingerprint(dataset, protocol.train_end);
     replica.client =
         std::make_unique<serve::ReplicationClient>(client_options);
     serve::ReplicationBootstrap bootstrap;

@@ -27,6 +27,22 @@ namespace {
 // a memcpy; going through memcpy (not reinterpret_cast) keeps it
 // alignment- and aliasing-clean.
 
+template <typename T>
+void AppendRaw(std::string* out, T value) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &value, sizeof(T));
+  out->append(buf, sizeof(T));
+}
+
+/// Appends `value` as an LEB128 varint.
+void AppendVarint(std::string* out, uint32_t value) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
+
 /// Bounds-checked reader over the serialized buffer.
 class Reader {
  public:
@@ -73,31 +89,6 @@ class Reader {
  private:
   std::string_view bytes_;
   size_t pos_ = 0;
-};
-
-/// Sequential writer into a buffer SerializeTo pre-sized to ByteSize().
-class Writer {
- public:
-  explicit Writer(char* out) : out_(out) {}
-
-  template <typename T>
-  void Put(T value) {
-    std::memcpy(out_, &value, sizeof(T));
-    out_ += sizeof(T);
-  }
-
-  void PutVarint(uint32_t value) {
-    while (value >= 0x80) {
-      *out_++ = static_cast<char>((value & 0x7f) | 0x80);
-      value >>= 7;
-    }
-    *out_++ = static_cast<char>(value);
-  }
-
-  const char* position() const { return out_; }
-
- private:
-  char* out_;
 };
 
 constexpr uint64_t kHeaderBytes = 4 + 2 + 2 +  // magic, version, flags
@@ -175,34 +166,33 @@ int64_t SimGraphDelta::ByteSize() const {
 void SimGraphDelta::SerializeTo(std::string* out) const {
   const size_t start = out->size();
   const auto size = static_cast<size_t>(ByteSize());
-  out->resize(start + size);
-  Writer writer(out->data() + start);
-  writer.Put<uint32_t>(kMagic);
-  writer.Put<uint16_t>(kVersion);
-  writer.Put<uint16_t>(flags);
-  writer.Put<uint64_t>(seq_begin);
-  writer.Put<uint64_t>(seq_end);
-  writer.Put<int64_t>(graph_edges);
-  writer.Put<uint64_t>(snapshot_epoch);
-  writer.Put<int64_t>(evict_before);
+  out->reserve(start + size);
+  AppendRaw<uint32_t>(out, kMagic);
+  AppendRaw<uint16_t>(out, kVersion);
+  AppendRaw<uint16_t>(out, flags);
+  AppendRaw<uint64_t>(out, seq_begin);
+  AppendRaw<uint64_t>(out, seq_end);
+  AppendRaw<int64_t>(out, graph_edges);
+  AppendRaw<uint64_t>(out, snapshot_epoch);
+  AppendRaw<int64_t>(out, evict_before);
 
-  writer.Put<uint64_t>(consumed.size());
+  AppendRaw<uint64_t>(out, consumed.size());
   for (const Consume& op : consumed) {
-    writer.Put<uint32_t>(static_cast<uint32_t>(op.user));
-    writer.Put<uint32_t>(static_cast<uint32_t>(op.tweet));
+    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.user));
+    AppendRaw<uint32_t>(out, static_cast<uint32_t>(op.tweet));
   }
-  writer.Put<uint64_t>(deposits.size());
+  AppendRaw<uint64_t>(out, deposits.size());
   ForEachGroup(deposits, [&](size_t begin, size_t end) {
-    writer.Put<uint32_t>(WireTweet(deposits[begin]));
-    writer.PutVarint(static_cast<uint32_t>(end - begin));
+    AppendRaw<uint32_t>(out, WireTweet(deposits[begin]));
+    AppendVarint(out, static_cast<uint32_t>(end - begin));
     uint32_t prev = 0;
     for (size_t i = begin; i < end; ++i) {
-      writer.PutVarint(WireUser(deposits[i]) - prev);
-      writer.Put<double>(deposits[i].score);
+      AppendVarint(out, WireUser(deposits[i]) - prev);
+      AppendRaw<double>(out, deposits[i].score);
       prev = WireUser(deposits[i]);
     }
   });
-  SIMGRAPH_CHECK(writer.position() == out->data() + start + size);
+  SIMGRAPH_CHECK_EQ(out->size(), start + size);
 }
 
 Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
@@ -274,24 +264,14 @@ Status SimGraphDelta::Parse(std::string_view bytes, SimGraphDelta* out) {
   }
   if (!reader.AtEnd()) return Corrupt("trailing bytes");
 
-  // Every user an op names, and no other, may have a changed answer.
+  // Every user an op names, and no other, may have a changed answer:
+  // the sorted unique list DeltaBuilder builds in process.
   std::vector<UserId>& users = out->invalidated;
   users.reserve(out->deposits.size() + out->consumed.size());
-  users.resize(out->deposits.size());
-  for (size_t i = 0; i < users.size(); ++i) users[i] = out->deposits[i].user;
-  if (std::is_sorted(users.begin(), users.end())) {
-    // One deposit group (a single-event delta): placing its few consumed
-    // users is linear, where a full sort is not.
-    users.erase(std::unique(users.begin(), users.end()), users.end());
-    for (const Consume& op : out->consumed) {
-      const auto at = std::lower_bound(users.begin(), users.end(), op.user);
-      if (at == users.end() || *at != op.user) users.insert(at, op.user);
-    }
-  } else {
-    for (const Consume& op : out->consumed) users.push_back(op.user);
-    std::sort(users.begin(), users.end());
-    users.erase(std::unique(users.begin(), users.end()), users.end());
-  }
+  for (const Consume& op : out->consumed) users.push_back(op.user);
+  for (const Deposit& op : out->deposits) users.push_back(op.user);
+  std::sort(users.begin(), users.end());
+  users.erase(std::unique(users.begin(), users.end()), users.end());
   return Status::Ok();
 }
 

@@ -39,6 +39,29 @@ Timestamp Dataset::EndTime() const {
   return end;
 }
 
+uint64_t TrainingFingerprint(const Dataset& dataset, int64_t train_end) {
+  // FNV-1a over 64-bit words, each pre-mixed so that small ids spread
+  // over the whole word.
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto add = [&hash](uint64_t word) {
+    word ^= word >> 33;
+    word *= 0xff51afd7ed558ccdull;
+    word ^= word >> 33;
+    hash = (hash ^ word) * 0x100000001b3ull;
+  };
+  add(static_cast<uint64_t>(dataset.num_users()));
+  add(static_cast<uint64_t>(dataset.num_tweets()));
+  for (const Tweet& t : dataset.tweets) add(static_cast<uint64_t>(t.time));
+  add(static_cast<uint64_t>(train_end));
+  const int64_t end = std::min(train_end, dataset.num_retweets());
+  for (int64_t i = 0; i < end; ++i) {
+    const RetweetEvent& e = dataset.retweets[static_cast<size_t>(i)];
+    add(static_cast<uint64_t>(e.tweet));
+    add(static_cast<uint64_t>(e.user));
+  }
+  return hash == 0 ? 1 : hash;
+}
+
 Status Dataset::Validate() const {
   for (size_t i = 0; i < tweets.size(); ++i) {
     const Tweet& t = tweets[i];

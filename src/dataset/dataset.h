@@ -59,6 +59,15 @@ struct Dataset {
   Status Validate() const;
 };
 
+/// Fingerprint of everything a serving replica trains from
+/// (CandidateState::Init): the population, every tweet's time and the
+/// (tweet, user) of each training retweet [0, train_end). A replica
+/// sends it in its replication HELLO and the builder rejects one whose
+/// value differs from its own, because replaying deltas over another
+/// dataset's training state gives wrong answers without any error.
+/// Never 0, which HELLO reserves for "not declared".
+uint64_t TrainingFingerprint(const Dataset& dataset, int64_t train_end);
+
 /// Serialises the dataset to a directory (graph.txt, tweets.txt,
 /// retweets.txt). The directory must exist.
 Status SaveDataset(const Dataset& dataset, const std::string& dir);

@@ -1,9 +1,7 @@
 #include "serve/replication_wire.h"
 
-#include <algorithm>
 #include <cstring>
 
-#include "dataset/dataset.h"
 #include "util/net.h"
 
 namespace simgraph {
@@ -66,29 +64,6 @@ bool ValidFrameType(uint8_t type) {
 }
 
 }  // namespace
-
-uint64_t TrainingFingerprint(const Dataset& dataset, int64_t train_end) {
-  // FNV-1a over 64-bit words, each pre-mixed so that small ids spread
-  // over the whole word.
-  uint64_t hash = 0xcbf29ce484222325ull;
-  const auto add = [&hash](uint64_t word) {
-    word ^= word >> 33;
-    word *= 0xff51afd7ed558ccdull;
-    word ^= word >> 33;
-    hash = (hash ^ word) * 0x100000001b3ull;
-  };
-  add(static_cast<uint64_t>(dataset.num_users()));
-  add(static_cast<uint64_t>(dataset.num_tweets()));
-  add(static_cast<uint64_t>(train_end));
-  const int64_t end = std::min(train_end, dataset.num_retweets());
-  for (int64_t i = 0; i < end; ++i) {
-    const RetweetEvent& e = dataset.retweets[static_cast<size_t>(i)];
-    add(static_cast<uint64_t>(e.tweet));
-    add(static_cast<uint64_t>(e.user));
-    add(static_cast<uint64_t>(e.time));
-  }
-  return hash == 0 ? 1 : hash;
-}
 
 void ReplicaHello::SerializeTo(std::string* out) const {
   AppendRaw<uint32_t>(out, kReplicationMagic);

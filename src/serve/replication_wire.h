@@ -8,9 +8,6 @@
 #include "util/status.h"
 
 namespace simgraph {
-
-struct Dataset;
-
 namespace serve {
 
 /// SGRP — the replication session protocol between the delta builder
@@ -51,14 +48,6 @@ inline constexpr uint16_t kReplicationVersion = 3;
 /// allocation happens.
 inline constexpr uint64_t kMaxReplicationFrameBytes = 1ull << 30;
 
-/// Fingerprint of the state a replica trains from: the population, the
-/// tweet catalogue size and the training retweets [0, train_end). A
-/// replica sends it in HELLO and the builder rejects one whose value
-/// differs from its own, because replaying deltas over another
-/// dataset's training state gives wrong answers without any error.
-/// Never 0, which HELLO reserves for "not declared".
-uint64_t TrainingFingerprint(const Dataset& dataset, int64_t train_end);
-
 /// HELLO payload: who the replica is and where it stands. applied_seq
 /// is the last event sequence the replica has applied (0 for a cold
 /// start, after training from its own copy of the dataset); the
@@ -66,9 +55,9 @@ uint64_t TrainingFingerprint(const Dataset& dataset, int64_t train_end);
 struct ReplicaHello {
   uint16_t version = kReplicationVersion;
   uint64_t applied_seq = 0;
-  /// TrainingFingerprint of the replica's dataset; 0 declares none and
-  /// skips the builder's check (an in-process replica trained from the
-  /// builder's own Dataset).
+  /// TrainingFingerprint (dataset/dataset.h) of the replica's dataset;
+  /// 0 declares none and skips the builder's check (an in-process
+  /// replica trained from the builder's own Dataset).
   uint64_t dataset_fingerprint = 0;
   std::string name;  // for logs/metrics; bounded at parse time
 

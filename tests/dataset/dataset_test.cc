@@ -59,6 +59,42 @@ TEST(DatasetTest, EndTime) {
   EXPECT_EQ(d.EndTime(), 250);
 }
 
+// The fingerprint covers every field CandidateState::Init reads — the
+// population, each tweet's time and the training retweets' (tweet,
+// user) — and nothing else.
+TEST(DatasetTest, TrainingFingerprintCoversWhatTrainingReads) {
+  const Dataset d = TinyTrace();
+  const int64_t train_end = 2;
+  const uint64_t base = TrainingFingerprint(d, train_end);
+  EXPECT_NE(base, 0u);
+  EXPECT_NE(TrainingFingerprint(d, 1), base);
+
+  Dataset other = TinyTrace();
+  other.tweets[1].time = 201;
+  EXPECT_NE(TrainingFingerprint(other, train_end), base);
+
+  other = TinyTrace();
+  other.retweets[1].user = 1;
+  EXPECT_NE(TrainingFingerprint(other, train_end), base);
+
+  other = TinyTrace();
+  other.retweets[1].tweet = 1;
+  EXPECT_NE(TrainingFingerprint(other, train_end), base);
+
+  other = TinyTrace();
+  other.follow_graph = GraphBuilder(4).Build();
+  EXPECT_NE(TrainingFingerprint(other, train_end), base);
+
+  // Not read by training: retweet times, authors, topics and the test
+  // retweets past train_end.
+  other = TinyTrace();
+  other.retweets[0].time = 151;
+  other.tweets[0].author = 2;
+  other.tweets[0].topic = 3;
+  other.retweets[2].user = 2;
+  EXPECT_EQ(TrainingFingerprint(other, train_end), base);
+}
+
 TEST(DatasetTest, ValidateRejectsUnsortedRetweets) {
   Dataset d = TinyTrace();
   std::swap(d.retweets[0], d.retweets[2]);

@@ -783,7 +783,8 @@ TEST_F(ReplicationTest, TrimmedLogColdJoinRejectionIsHonest) {
 // at seed 1 against a builder at seed 60809) would pass every id check
 // and answer from the wrong training state. Its training fingerprint
 // gives it away: the builder rejects it in the handshake, before it
-// trains, and still admits a replica of the right dataset.
+// trains, as it rejects a copy whose tweet times alone differ, and still
+// admits a replica of the right dataset.
 TEST_F(ReplicationTest, MismatchedDatasetIsRejectedAtHandshake) {
   DatasetConfig config = TinyConfig();
   config.seed = 1;
@@ -823,6 +824,25 @@ TEST_F(ReplicationTest, MismatchedDatasetIsRejectedAtHandshake) {
                 .counter("serve.replication.handshake_rejects")
                 .value(),
             1);
+
+  // The same dataset with one tweet published a second later: training
+  // copies tweet times into the candidate store, so this one differs too.
+  Dataset shifted = dataset_;
+  shifted.tweets.back().time += 1;
+  client_options.name = "shifted-tweet-time";
+  client_options.dataset_fingerprint =
+      TrainingFingerprint(shifted, protocol_.train_end);
+  ReplicationClient shifted_client(client_options);
+  const Status shifted_status =
+      shifted_client.Connect(/*applied_seq=*/0, &bootstrap);
+  EXPECT_EQ(shifted_status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(shifted_status.message().find("dataset mismatch"),
+            std::string::npos)
+      << shifted_status.ToString();
+  EXPECT_EQ(metrics::Registry::Global()
+                .counter("serve.replication.handshake_rejects")
+                .value(),
+            2);
   metrics::SetEnabled(false);
 
   RemoteReplica remote;

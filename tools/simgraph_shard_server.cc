@@ -120,7 +120,7 @@ int Run(int argc, char** argv) {
   client_options.port = static_cast<uint16_t>(FlagInt(flags, "connect", 0));
   client_options.name = FlagString(flags, "name", "replica");
   client_options.dataset_fingerprint =
-      serve::TrainingFingerprint(dataset, train_end);
+      TrainingFingerprint(dataset, train_end);
   serve::ReplicationClient client(client_options);
   serve::ReplicationBootstrap bootstrap;
   const Status connected = client.Connect(/*applied_seq=*/0, &bootstrap);
