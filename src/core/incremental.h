@@ -2,9 +2,7 @@
 #define SIMGRAPH_CORE_INCREMENTAL_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/simgraph.h"
@@ -28,6 +26,11 @@ class MutableProfileStore {
   /// (a lower bound; the tweet space grows on demand).
   MutableProfileStore(int32_t num_users, int64_t num_tweets);
 
+  /// Copies the profiles, popularities and retweeter lists of `store`:
+  /// the same state as Apply over the prefix `store` was built from,
+  /// since a Dataset holds no duplicate (tweet, user) retweet.
+  explicit MutableProfileStore(const ProfileStore& store);
+
   /// Appends one retweet. Duplicate (user, tweet) pairs are ignored.
   /// Grows the tweet space when event.tweet is beyond the current bound.
   void Apply(const RetweetEvent& event);
@@ -43,7 +46,7 @@ class MutableProfileStore {
     const size_t i = static_cast<size_t>(t);
     return i < popularity_.size() ? popularity_[i] : 0;
   }
-  /// Users who retweeted `t`, in arrival order (empty for unseen ids).
+  /// Users who retweeted `t`, ascending (empty for unseen ids).
   const std::vector<UserId>& Retweeters(TweetId t) const;
 
   /// Upper bound of the tweet id space seen so far.
@@ -57,7 +60,7 @@ class MutableProfileStore {
 
  private:
   std::vector<std::vector<TweetId>> profiles_;   // sorted
-  std::vector<std::vector<UserId>> retweeters_;  // arrival order
+  std::vector<std::vector<UserId>> retweeters_;  // sorted
   std::vector<int32_t> popularity_;
 };
 
@@ -92,8 +95,11 @@ class IncrementalSimGraph {
   /// Builds profiles and the similarity graph from the first `event_end`
   /// retweets of `dataset`. The seed BuildSimGraph runs on every core
   /// whatever `options.num_threads` says; its output does not depend on
-  /// the thread count.
-  Status Initialize(const Dataset& dataset, int64_t event_end);
+  /// the thread count. When `seed` is non-null it receives that graph,
+  /// which equals Snapshot() until the next Apply. Rejects `hops`
+  /// outside [1, 2], the radii WithinHops can test per event.
+  Status Initialize(const Dataset& dataset, int64_t event_end,
+                    SimGraph* seed = nullptr);
 
   /// Applies one retweet event (must follow the initialisation prefix in
   /// time; duplicates are ignored).
@@ -107,7 +113,8 @@ class IncrementalSimGraph {
     Apply(event);
   }
 
-  /// Materialises the current graph (CSR) for propagation / inspection.
+  /// Materialises the current graph (CSR) for propagation / inspection:
+  /// the rows concatenated in user order, with no sort.
   SimGraph Snapshot() const;
 
   int64_t num_edges() const { return num_edges_; }
@@ -122,13 +129,20 @@ class IncrementalSimGraph {
   /// handle the reverse direction).
   void RescoreEdge(UserId u, UserId v);
 
+  struct OutEdge {
+    UserId target;
+    double weight;
+  };
+
   const Digraph* follow_graph_;
   SimGraphOptions options_;
   std::unique_ptr<MutableProfileStore> profiles_;
-  /// adjacency_[u][v] = sim weight of edge u->v.
-  std::vector<std::unordered_map<UserId, double>> adjacency_;
-  /// reverse_[v] = sources of edges into v (kept in sync with adjacency_).
-  std::vector<std::unordered_set<UserId>> reverse_;
+  /// out_[u] = edges u->v with their weights, ascending by v.
+  std::vector<std::vector<OutEdge>> out_;
+  /// in_[v] = sources of edges into v, ascending (the transpose of out_).
+  std::vector<std::vector<UserId>> in_;
+  /// Apply's copy of the row it rescores, which the rescoring may shrink.
+  std::vector<UserId> incident_;
   int64_t num_edges_ = 0;
   IncrementalStats stats_;
 };

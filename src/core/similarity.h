@@ -45,6 +45,9 @@ class ProfileStore {
   int32_t num_users() const {
     return static_cast<int32_t>(profile_offsets_.size() - 1);
   }
+  int64_t num_tweets() const {
+    return static_cast<int64_t>(popularity_.size());
+  }
 
   /// Tweets retweeted by `u`, ascending by id.
   std::span<const TweetId> Profile(UserId u) const {

@@ -20,11 +20,25 @@ inline constexpr NodeId kInvalidNode = -1;
 ///
 /// Construction goes through GraphBuilder, which sorts and deduplicates
 /// edges; neighbour spans are therefore sorted by target id, enabling
-/// binary-searched HasEdge and linear-merge set intersections.
+/// binary-searched HasEdge and linear-merge set intersections. Arrays
+/// already in that form can be adopted as they are with FromCsr.
 class Digraph {
  public:
   /// An empty graph.
   Digraph() = default;
+
+  /// Adopts a CSR in GraphBuilder::Build's output form: both offset
+  /// arrays hold num_nodes + 1 entries from 0 to the edge count, each
+  /// out-row is ascending by target without repeats, each in-row is
+  /// ascending by source, and the in-adjacency is the exact transpose of
+  /// the out-adjacency. `out_weights` is empty or parallel to
+  /// `out_targets`. Only the sizes are checked; the order is the
+  /// caller's promise.
+  static Digraph FromCsr(std::vector<int64_t> out_offsets,
+                         std::vector<NodeId> out_targets,
+                         std::vector<double> out_weights,
+                         std::vector<int64_t> in_offsets,
+                         std::vector<NodeId> in_sources);
 
   NodeId num_nodes() const { return num_nodes_; }
   int64_t num_edges() const { return static_cast<int64_t>(out_targets_.size()); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -31,8 +32,9 @@ Status SimGraphServingRecommender::Train(const Dataset& dataset,
   if (train_end < 0 || train_end > dataset.num_retweets()) {
     return Status::InvalidArgument("train_end out of range");
   }
-  // The follow graph is either carried by the dataset or pinned
-  // out-of-band as an mmap'd SGCS image every shard shares.
+  // The follow graph comes from the dataset or from the loaded
+  // `graph_image`. Only this builder reads it: shards and replicas
+  // train candidate tables alone and hold no graph.
   const Digraph& follow_graph = options_.graph_image != nullptr
                                     ? options_.graph_image->graph()
                                     : dataset.follow_graph;
@@ -42,27 +44,36 @@ Status SimGraphServingRecommender::Train(const Dataset& dataset,
   }
   num_users_ = follow_graph.num_nodes();
   follow_graph_ = &follow_graph;
+  // The candidate tables do not read the graph: fill them on their own
+  // thread while the seed graph builds.
+  Status candidates = Status::Ok();
+  std::jthread candidate_init([&] {
+    candidates = state_.Init(dataset, train_end, options_.freshness_window);
+  });
+  // The seed graph is built once, on every core, and published as the
+  // first snapshot. With refreshes the incremental graph builds it and
+  // keeps maintaining it; without, nothing reads an incremental graph.
+  auto seed = std::make_shared<SimGraph>();
+  Status graph = Status::Ok();
   if (options_.snapshot_refresh_events > 0) {
     incremental_ =
         std::make_unique<IncrementalSimGraph>(follow_graph, options_.graph);
-    SIMGRAPH_RETURN_IF_ERROR(incremental_->Initialize(dataset, train_end));
-    RefreshSnapshot();
+    graph = incremental_->Initialize(dataset, train_end, seed.get());
   } else {
-    // No refresh ever reads an incremental graph: build the snapshot
-    // once, on every core, exactly as IncrementalSimGraph seeds itself.
     SimGraphOptions build_options = options_.graph;
     build_options.num_threads = 0;
-    auto snapshot = std::make_shared<SimGraph>(BuildSimGraph(
-        follow_graph, ProfileStore(dataset, train_end), build_options));
-    snapshot->NumPresentNodes();
-    PublishSnapshot(std::move(snapshot));
+    *seed = BuildSimGraph(follow_graph, ProfileStore(dataset, train_end),
+                          build_options);
   }
+  candidate_init.join();
+  SIMGRAPH_RETURN_IF_ERROR(graph);
+  SIMGRAPH_RETURN_IF_ERROR(candidates);
+  seed->NumPresentNodes();
+  PublishSnapshot(std::move(seed));
 
   tweet_author_.clear();
   tweet_author_.reserve(dataset.tweets.size());
   for (const Tweet& t : dataset.tweets) tweet_author_.push_back(t.author);
-  SIMGRAPH_RETURN_IF_ERROR(
-      state_.Init(dataset, train_end, options_.freshness_window));
 
   // A user is never recommended a post they already shared (training
   // retweets are consumed by CandidateState::Init); seed sets of tweets

@@ -53,11 +53,10 @@ struct ServingSimGraphOptions {
   /// which the paper's figures are reproduced. With 0 no incremental
   /// graph is built or maintained.
   int64_t snapshot_refresh_events = 0;
-  /// When set, Train takes the follow graph from this pinned mmap'd
-  /// SGCS image instead of dataset.follow_graph (which may then be
-  /// empty — the million-user deployments never materialise graph.txt).
-  /// All shards of a ShardedService share the SAME image; see
-  /// docs/store.md.
+  /// When set, Train takes the follow graph from this loaded SGCS image
+  /// instead of dataset.follow_graph (which may then be empty — the
+  /// million-user deployments never materialise graph.txt). Only the
+  /// builder reads it; see docs/store.md.
   std::shared_ptr<const store::GraphImage> graph_image;
 };
 

@@ -33,6 +33,53 @@ const Dataset& Shared() {
   return *d;
 }
 
+void ExpectSameProfiles(const MutableProfileStore& want,
+                        const MutableProfileStore& got, int32_t num_users) {
+  for (UserId u = 0; u < num_users; ++u) {
+    ASSERT_EQ(want.Profile(u), got.Profile(u)) << "profile of " << u;
+  }
+  ASSERT_EQ(want.num_tweets(), got.num_tweets());
+  for (TweetId t = 0; t < want.num_tweets(); ++t) {
+    ASSERT_EQ(want.Popularity(t), got.Popularity(t)) << "popularity of " << t;
+    ASSERT_EQ(want.Retweeters(t), got.Retweeters(t)) << "retweeters of " << t;
+  }
+}
+
+/// GraphBuilder's CSR of `g`'s edges, added in reverse so its sort runs,
+/// with each weight replaced by `weight(u, v, stored)`.
+template <typename WeightFn>
+Digraph Rebuild(const Digraph& g, WeightFn weight) {
+  GraphBuilder b(g.num_nodes());
+  for (NodeId u = g.num_nodes() - 1; u >= 0; --u) {
+    const auto targets = g.OutNeighbors(u);
+    const auto weights = g.OutWeights(u);
+    for (size_t i = targets.size(); i-- > 0;) {
+      b.AddEdge(u, targets[i], weight(u, targets[i], weights[i]));
+    }
+  }
+  return b.Build(/*weighted=*/true);
+}
+
+/// Same rows, same weights bit for bit, same in-rows.
+void ExpectSameCsr(const Digraph& want, const Digraph& got) {
+  ASSERT_EQ(want.num_nodes(), got.num_nodes());
+  ASSERT_EQ(want.num_edges(), got.num_edges());
+  for (NodeId u = 0; u < want.num_nodes(); ++u) {
+    const auto wo = want.OutNeighbors(u);
+    const auto go = got.OutNeighbors(u);
+    ASSERT_TRUE(std::equal(wo.begin(), wo.end(), go.begin(), go.end()))
+        << "out-row of " << u;
+    const auto ww = want.OutWeights(u);
+    const auto gw = got.OutWeights(u);
+    ASSERT_TRUE(std::equal(ww.begin(), ww.end(), gw.begin(), gw.end()))
+        << "weights of " << u;
+    const auto wi = want.InNeighbors(u);
+    const auto gi = got.InNeighbors(u);
+    ASSERT_TRUE(std::equal(wi.begin(), wi.end(), gi.begin(), gi.end()))
+        << "in-row of " << u;
+  }
+}
+
 TEST(MutableProfileStoreTest, MatchesBatchStore) {
   const Dataset& d = Shared();
   MutableProfileStore mutable_store(d.num_users(), d.num_tweets());
@@ -41,6 +88,10 @@ TEST(MutableProfileStoreTest, MatchesBatchStore) {
   for (UserId u = 0; u < d.num_users(); ++u) {
     ASSERT_EQ(mutable_store.ProfileSize(u), batch.ProfileSize(u));
   }
+  // Copying the batch store yields the state Apply built, retweeters in
+  // the same (ascending) order.
+  ExpectSameProfiles(mutable_store, MutableProfileStore(batch),
+                     d.num_users());
   // Similarities agree on a sample of co-retweeting pairs.
   SimilarityScratch scratch;
   int checked = 0;
@@ -51,6 +102,15 @@ TEST(MutableProfileStoreTest, MatchesBatchStore) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+TEST(MutableProfileStoreTest, RetweetersStayAscending) {
+  MutableProfileStore store(4, 1);
+  store.Apply(RetweetEvent{0, 3, 10});
+  store.Apply(RetweetEvent{0, 1, 20});
+  store.Apply(RetweetEvent{0, 2, 30});
+  EXPECT_EQ(store.Retweeters(0), (std::vector<UserId>{1, 2, 3}));
+  EXPECT_EQ(store.Popularity(0), 3);
 }
 
 TEST(MutableProfileStoreTest, IgnoresDuplicates) {
@@ -202,6 +262,45 @@ TEST(IncrementalSimGraphTest, InitializeMatchesBatchBuild) {
   }
 }
 
+TEST(IncrementalSimGraphTest, SnapshotIsTheCsrOfTheMaintainedRows) {
+  // Snapshot() concatenates the rows with no sort, so it must equal
+  // GraphBuilder's CSR of its own edges bit for bit; the in-rows must be
+  // the transpose Apply keeps beside the out-rows.
+  const Dataset& d = Shared();
+  const int64_t split = d.SplitIndex(0.9);
+  IncrementalSimGraph inc(d.follow_graph, Opts());
+  SimGraph seed;
+  ASSERT_TRUE(inc.Initialize(d, split, &seed).ok());
+  // Before any event, the seed handed out is the snapshot and every
+  // weight is its pair's similarity.
+  ExpectSameCsr(seed.graph, inc.Snapshot().graph);
+  ExpectSameCsr(Rebuild(seed.graph,
+                        [&](UserId u, UserId v, double) {
+                          return inc.profiles().Similarity(u, v);
+                        }),
+                seed.graph);
+
+  int checked = 0;
+  for (int64_t i = split; i < d.num_retweets(); ++i) {
+    const RetweetEvent& e = d.retweets[static_cast<size_t>(i)];
+    inc.Apply(e);
+    if ((i - split) % 97 != 0 && i + 1 != d.num_retweets()) continue;
+    const SimGraph snap = inc.Snapshot();
+    EXPECT_EQ(inc.num_edges(), snap.graph.num_edges());
+    // A pair no event has woken since a third party's retweet keeps its
+    // stale weight by design; the edges at the event's user were all
+    // rescored just now and carry the current similarity.
+    const Digraph rebuilt =
+        Rebuild(snap.graph, [&](UserId u, UserId v, double stored) {
+          return u == e.user || v == e.user ? inc.profiles().Similarity(u, v)
+                                            : stored;
+        });
+    ExpectSameCsr(rebuilt, snap.graph);
+    ++checked;
+  }
+  EXPECT_GT(checked, 2);
+}
+
 TEST(IncrementalSimGraphTest, AppliedPairsMatchFreshSimilarities) {
   // After streaming the last 10% of events, every edge between a pair
   // that co-retweeted during that window must carry the fresh similarity.
@@ -214,8 +313,13 @@ TEST(IncrementalSimGraphTest, AppliedPairsMatchFreshSimilarities) {
   }
   EXPECT_GT(inc.stats().events_applied, 0);
 
-  // Pairs that co-retweeted in the window.
+  // Profiles copied at the split and then applied hold what a copy of
+  // the final prefix holds.
   ProfileStore final_profiles(d, d.num_retweets());
+  ExpectSameProfiles(MutableProfileStore(final_profiles), inc.profiles(),
+                     d.num_users());
+
+  // Pairs that co-retweeted in the window.
   const SimGraph snap = inc.Snapshot();
   std::set<std::pair<UserId, UserId>> touched;
   {
@@ -275,8 +379,8 @@ TEST(IncrementalSimGraphTest, AppliedPairsMatchFreshSimilarities) {
       }
     }
     if (interference) continue;
-    ASSERT_NEAR(snap.graph.EdgeWeight(u, v),
-                final_profiles.Similarity(u, v), 1e-12);
+    // Last rescored on final inputs: the fresh similarity, bit for bit.
+    ASSERT_EQ(snap.graph.EdgeWeight(u, v), final_profiles.Similarity(u, v));
     ++exact_verified;
   }
   EXPECT_GT(exact_verified, 0);
@@ -386,6 +490,16 @@ TEST(IncrementalSimGraphTest, InitializeValidatesInput) {
   IncrementalSimGraph inc(d.follow_graph, Opts());
   EXPECT_FALSE(inc.Initialize(d, -1).ok());
   EXPECT_FALSE(inc.Initialize(d, d.num_retweets() + 1).ok());
+  // WithinHops tests one or two hops per event; any other radius is
+  // rejected before a seed is built, not on the first event.
+  for (const int32_t hops : {0, 3}) {
+    SimGraphOptions options = Opts();
+    options.hops = hops;
+    IncrementalSimGraph bad(d.follow_graph, options);
+    EXPECT_EQ(bad.Initialize(d, d.num_retweets()).code(),
+              StatusCode::kInvalidArgument)
+        << "hops " << hops;
+  }
 }
 
 }  // namespace
